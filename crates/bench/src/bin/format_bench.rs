@@ -1,6 +1,6 @@
-//! Before/after benchmark of the on-disk record formats: measures
-//! record size and load/replay time for the binary `mg_bench::binfmt`
-//! containers against their JSON-era equivalents, and writes
+//! Benchmark of the on-disk record format: measures record size and
+//! load/replay time for the binary `mg_bench::binfmt` containers
+//! against the JSON debug view of the same records, and writes
 //! `results/BENCH_format.json`.
 //!
 //! Usage: `format_bench [N]` limits the sweep to the first N
@@ -10,18 +10,19 @@
 //! The journal and cache layers are measured on *real* records: the
 //! bench runs a single-cell sweep over the suite with journaling kept,
 //! then re-reads every journal row and disk-cache entry it produced.
-//! Each record is also rendered to the byte-exact legacy JSON form
-//! (checksummed `DiskRecord` envelope) so both formats decode the same
-//! data. The span-trace and obs-pipeline layers use deterministic
+//! Each record is also rendered to its JSON debug view — compact
+//! `serde_json` text of the decoded value, what `export_json` renders —
+//! so both formats decode the same data. Measured on one host, in one
+//! process, the comparison is like for like. The span-trace and
+//! obs-pipeline layers use deterministic
 //! synthetic documents of realistic shape, so the bench does not need
 //! the `obs` feature.
 //!
 //! Exits non-zero if the binary format fails its acceptance gates on
-//! the durability layers (journal + cache): records at least 3x
-//! smaller than JSON and replay at least as fast.
+//! the durability layers (journal + cache, combined): records at least
+//! 3x smaller than the JSON view and replay at least as fast.
 
 use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::cache::{open_record, seal_record};
 use mg_bench::{save_json, Scheme, SweepCell, SweepSpec};
 use mg_obs::mg_info;
 use mg_sim::MachineConfig;
@@ -48,18 +49,24 @@ struct LayerRow {
 }
 
 /// One record measured in both formats: the sealed binary container
-/// and the legacy checksummed-JSON envelope of the same decoded value.
+/// and the JSON debug view of the same decoded value.
 struct Pair {
     bin: Vec<u8>,
     json: Vec<u8>,
 }
 
+impl Pair {
+    fn new(bin: Vec<u8>, value: &Value) -> Pair {
+        let json = serde_json::to_string(value)
+            .expect("JSON view renders")
+            .into_bytes();
+        Pair { bin, json }
+    }
+}
+
 fn pair_from_record(bytes: Vec<u8>) -> Option<Pair> {
-    let header = binfmt::peek_header(&bytes).ok()?;
-    let kind = RecordKind::from_u16(header.kind)?;
-    let value = binfmt::open_value(&bytes, kind, header.schema).ok()?;
-    let json = seal_record(serde_json::to_string(&value).ok()?)?;
-    Some(Pair { bin: bytes, json })
+    let value = decode_bin(&bytes)?;
+    Some(Pair::new(bytes, &value))
 }
 
 fn decode_bin(bytes: &[u8]) -> Option<Value> {
@@ -69,8 +76,7 @@ fn decode_bin(bytes: &[u8]) -> Option<Value> {
 }
 
 fn decode_json(bytes: &[u8]) -> Option<Value> {
-    let payload = open_record(bytes)?;
-    serde_json::parse_value_str(&payload).ok()
+    serde_json::parse_value_str(std::str::from_utf8(bytes).ok()?).ok()
 }
 
 /// Measures one layer: total sizes, and wall time to decode every
@@ -105,7 +111,7 @@ fn measure(layer: &str, pairs: &[Pair]) -> LayerRow {
 }
 
 /// Collects every `.mgb` record under `dir` whose file name starts with
-/// `prefix`, paired with its legacy JSON rendering.
+/// `prefix`, paired with its JSON view.
 fn pairs_from_dir(dir: &Path, prefix: &str) -> Vec<Pair> {
     let Ok(listing) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -155,8 +161,7 @@ fn synthetic_trace(n: u64) -> Vec<Pair> {
         ("displayTimeUnit".into(), Value::Str("ms".into())),
     ]);
     let bin = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
-    let json = seal_record(serde_json::to_string(&doc).expect("trace renders")).expect("seals");
-    vec![Pair { bin, json }]
+    vec![Pair::new(bin, &doc)]
 }
 
 /// A deterministic obs-style pipeline dump of `n` per-op trace rows,
@@ -186,10 +191,7 @@ fn synthetic_obs(n: u64) -> Vec<Pair> {
         ("trace".into(), Value::Seq(rows)),
     ]);
     let bin = binfmt::to_record(RecordKind::ObsDump, 1, &doc);
-    // The JSON-era obs artifact was written pretty-printed (save_json).
-    let json =
-        seal_record(serde_json::to_string_pretty(&doc).expect("dump renders")).expect("seals");
-    vec![Pair { bin, json }]
+    vec![Pair::new(bin, &doc)]
 }
 
 fn main() {
@@ -230,7 +232,7 @@ fn main() {
     ];
     let _ = std::fs::remove_dir_all(&journal_root);
 
-    println!("FORMAT BENCH: binary records vs their JSON-era equivalents");
+    println!("FORMAT BENCH: binary records vs their JSON debug view");
     println!(
         "{:<14} {:>7} {:>12} {:>12} {:>7} {:>12} {:>12} {:>8}",
         "layer", "records", "bin B", "json B", "ratio", "bin us", "json us", "speedup"
@@ -271,13 +273,15 @@ fn main() {
     }
     if json_b < 3 * bin_b {
         eprintln!(
-            "FORMAT GATE FAILED: binary journal+cache records are only {:.2}x smaller than JSON (need 3x)",
+            "FORMAT GATE FAILED: binary journal+cache records are only {:.2}x smaller than their JSON view (need 3x)",
             json_b as f64 / (bin_b as f64).max(1.0)
         );
         std::process::exit(1);
     }
     if bin_us > json_us {
-        eprintln!("FORMAT GATE FAILED: binary replay took {bin_us}us vs {json_us}us for JSON");
+        eprintln!(
+            "FORMAT GATE FAILED: binary replay took {bin_us}us vs {json_us}us for the JSON view"
+        );
         std::process::exit(1);
     }
     println!(

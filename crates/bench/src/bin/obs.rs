@@ -1,38 +1,38 @@
 //! Observability driver: runs one benchmark with the pipeline observer
-//! attached and dumps everything it produced — the trace JSON (under
-//! `results/`), a Konata-style text pipeview of the run's tail, the
-//! per-slot stall-attribution table, and the queue-occupancy summary.
+//! attached and dumps everything it produced — the trace dump record
+//! `results/OBS_<bench>.mgb`, a Konata-style text pipeview of the run's
+//! tail, the per-slot stall-attribution table, and the queue-occupancy
+//! summary.
 //!
-//! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN] [--export-json]`
+//! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN]`
 //!
 //! * `BENCH` — benchmark name from the suite (default `mib_crc32`)
 //! * `SCHEME` — scheme display name, e.g. `Struct-All`, `no-minigraphs`,
 //!   `Slack-Profile` (default `Struct-All`)
 //! * `TARGET_DYN` — dynamic-instruction target (default 30000)
-//! * `--export-json` — besides the binary `results/OBS_<bench>.mgb`
-//!   record, also write the legacy `results/OBS_<bench>.json` debug
-//!   view (pretty-printed, ~50k lines; the binary record is the
-//!   canonical artifact)
+//!
+//! `export_json results/OBS_<bench>.mgb` renders the record's JSON
+//! debug view as `results/OBS_<bench>.json`.
 //!
 //! Only built with `--features obs`; without the feature the simulator
-//! carries no instrumentation. The process exits non-zero if the stall
-//! attribution fails its conservation check (every issue-slot cycle
-//! charged exactly once) — CI's `obs-smoke` job relies on this.
+//! carries no instrumentation. The process exits non-zero if the dump
+//! written does not decode back as the typed section it was written
+//! from, or if the stall attribution fails its conservation check
+//! (every issue-slot cycle charged exactly once) — CI's `obs-smoke` job
+//! relies on both.
 
 #[cfg(feature = "obs")]
 fn main() {
     use mg_bench::binfmt::{self, RecordKind};
     use mg_bench::harness::ObsSection;
-    use mg_bench::{save_bin, save_json, BenchContext, Scheme, SCHEMA_VERSION};
+    use mg_bench::{machine_fingerprint, save_bin, BenchContext, Envelope, Scheme, SCHEMA_VERSION};
     use mg_sim::MachineConfig;
     use mg_workloads::suite;
 
     mg_bench::Config::init_cli();
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    let export_json = flags.iter().any(|f| f == "--export-json");
-    if let Some(unknown) = flags.iter().find(|f| *f != "--export-json") {
-        eprintln!("unknown flag {unknown:?}; the only flag is --export-json");
+    let positional: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = positional.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag:?}; usage: obs [BENCH] [SCHEME] [TARGET_DYN]");
         std::process::exit(2);
     }
     let bench = positional
@@ -119,31 +119,29 @@ fn main() {
     }
 
     let section = ObsSection::new(&spec.name, scheme, report);
-    let name = format!("OBS_{}", spec.name);
-    let path = save_bin(&name, RecordKind::ObsDump, &section);
+    let path = save_bin(&format!("OBS_{}", spec.name), RecordKind::ObsDump, &section);
     println!("\ntrace dump written to {}", path.display());
-    if export_json {
-        let json_path = save_json(&name, &section);
-        println!("trace JSON view written to {}", json_path.display());
-    }
 
-    // When run from the workspace root (as CI does), validate the dump
-    // just written against the checked-in schema — decoded straight
-    // from the binary record, so the canonical artifact is what gets
-    // checked.
-    let schema_path = std::path::Path::new("crates/bench/tests/obs/trace.schema.json");
-    if schema_path.exists() {
-        let written = std::fs::read(&path).expect("read back trace dump");
-        let value = binfmt::open_value(&written, RecordKind::ObsDump, SCHEMA_VERSION)
-            .expect("trace dump reopens");
-        let schema_text = std::fs::read_to_string(schema_path).expect("read schema");
-        let schema = serde_json::parse_value_str(&schema_text).expect("schema parses");
-        match mg_obs::schema::validate(&value, &schema) {
-            Ok(()) => println!("trace dump validates against {}", schema_path.display()),
-            Err(e) => {
-                eprintln!("trace dump violates {}: {e}", schema_path.display());
-                std::process::exit(1);
-            }
+    // Read the canonical artifact back through a typed decode: every
+    // field present with its declared type, enums in range, and the
+    // values equal to the section that was written.
+    let written = std::fs::read(&path).expect("read back trace dump");
+    match binfmt::from_record::<Envelope<ObsSection>>(&written, RecordKind::ObsDump, SCHEMA_VERSION)
+    {
+        Ok(back)
+            if back.schema_version == SCHEMA_VERSION
+                && back.machine_fingerprint == machine_fingerprint()
+                && back.rows == section =>
+        {
+            println!("trace dump decodes as the typed section it was written from")
+        }
+        Ok(_) => {
+            eprintln!("trace dump decodes but differs from the section written");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("trace dump does not decode as a typed section: {e}");
+            std::process::exit(1);
         }
     }
 

@@ -990,8 +990,7 @@ mod tests {
                 commit: (i % 7 != 0).then_some(10 * i + 9),
             })
             .collect();
-        // Compare against the JSON as it was actually persisted by the
-        // JSON-era artifact writers (`save_json` pretty-prints).
+        // Compare against the pretty JSON view `export_json` renders.
         let json = serde_json::to_string_pretty(&rows).unwrap();
         let rec = to_record(RecordKind::ObsDump, 1, &rows);
         assert!(

@@ -18,11 +18,11 @@
 //!
 //! Disk entries are versioned ([`CACHE_SCHEMA`]) and integrity-checked:
 //! each `ctx-*.mgb` file is a [`crate::binfmt`] binary record (magic +
-//! schema header, FNV-1a trailer), verified end-to-end on load. Entries
-//! written by the previous, JSON-era generation (`ctx-*.json`, a
-//! checksummed [`DiskRecord`] envelope) are still read transparently
-//! for one schema generation and rewritten in the binary format on
-//! their first hit. A mismatched schema or kind is stale and silently
+//! schema header, FNV-1a trailer), verified end-to-end on load; it is
+//! the only format read. A leftover JSON-era `ctx-*.json` file is never
+//! opened: its key simply misses and is rebuilt as a binary record,
+//! while the file itself only counts against the size cap, which evicts
+//! it first. A mismatched schema or kind is stale and silently
 //! treated as a miss; a corrupt or truncated entry (checksum/decode
 //! failure) is *quarantined* to `results/cache/quarantine/` with an
 //! `MG_LOG` warning so it never surfaces as a deserialize error and the
@@ -37,7 +37,7 @@ use crate::binfmt::{self, RecordKind};
 use crate::fault;
 use crate::harness::BenchError;
 use mg_core::pipeline::try_profile_workload;
-use mg_obs::{mg_error, mg_info};
+use mg_obs::mg_error;
 use mg_sim::{MachineConfig, SlackProfile};
 use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
 use serde::{Deserialize, Serialize};
@@ -49,10 +49,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Version tag for on-disk cache entries. Bump when the cached payload or
 /// its semantics change; stale entries are then ignored.
 ///
-/// v2: entries are wrapped in a checksummed envelope. The payload shape
-/// is unchanged across the JSON-era [`DiskRecord`] envelope and the
-/// current [`crate::binfmt`] container, so v2 JSON entries remain
-/// readable (for one generation) alongside v2 binary entries.
+/// v2: entries are checksummed [`crate::binfmt`] containers.
 pub const CACHE_SCHEMA: u32 = 2;
 
 /// Directory holding on-disk context cache entries, relative to the
@@ -213,48 +210,8 @@ struct DiskEntry {
     slack: SlackProfile,
 }
 
-/// The checksummed envelope a *legacy* (JSON-era) cache file holds.
-/// `payload` is the [`DiskEntry`] JSON *as a string*, so the checksum is
-/// over exact bytes and never depends on re-serialization being
-/// canonical. Kept for one schema generation so existing caches and
-/// journals migrate transparently; new records are [`crate::binfmt`]
-/// containers.
-#[derive(Serialize, Deserialize)]
-struct DiskRecord {
-    /// FNV-1a of `payload`'s UTF-8 bytes, in zero-padded hex.
-    checksum: String,
-    payload: String,
-}
-
-/// Wraps serialized payload bytes in the legacy checksummed JSON
-/// envelope. Exposed (hidden) so the mixed-directory tests and the
-/// format benchmark can fabricate JSON-era records; production code
-/// only ever *reads* this envelope now.
-#[doc(hidden)]
-pub fn seal_record(payload: String) -> Option<Vec<u8>> {
-    let record = DiskRecord {
-        checksum: format!("{:016x}", stable_hash64(payload.as_bytes())),
-        payload,
-    };
-    serde_json::to_vec(&record).ok()
-}
-
-/// Parses and verifies a legacy [`DiskRecord`], returning the payload
-/// string. `None` means the bytes are corrupt or truncated (parse or
-/// checksum failure) — not merely stale.
-#[doc(hidden)]
-pub fn open_record(bytes: &[u8]) -> Option<String> {
-    let record: DiskRecord = serde_json::from_slice(bytes).ok()?;
-    let sum = format!("{:016x}", stable_hash64(record.payload.as_bytes()));
-    (sum == record.checksum).then_some(record.payload)
-}
-
 fn disk_path_in(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("ctx-{key:016x}.{}", binfmt::EXT))
-}
-
-fn legacy_disk_path_in(dir: &std::path::Path, key: u64) -> PathBuf {
-    dir.join(format!("ctx-{key:016x}.json"))
 }
 
 /// Moves a corrupt record into `quarantine_dir` (best-effort), warns
@@ -335,9 +292,9 @@ fn touch(path: &std::path::Path) {
     }
 }
 
-/// Loads one disk entry from `dir` (binary first, then the legacy
-/// JSON fallback). Hidden from docs: the supported surface is
-/// [`context`]; this is exposed for the format fixtures and tests.
+/// Loads one disk entry from `dir`. Hidden from docs: the supported
+/// surface is [`context`]; this is exposed for the format fixtures,
+/// tests, and the benchmark harness.
 #[doc(hidden)]
 pub fn disk_load_from(
     dir: &std::path::Path,
@@ -345,58 +302,21 @@ pub fn disk_load_from(
     spec: &BenchmarkSpec,
 ) -> Option<(Vec<u64>, SlackProfile)> {
     let path = disk_path_in(dir, key);
-    match std::fs::read(&path) {
-        Ok(mut bytes) => {
-            fault::corrupt_cache_bytes(key, &mut bytes);
-            match binfmt::from_record::<DiskEntry>(&bytes, RecordKind::CacheEntry, CACHE_SCHEMA) {
-                Ok(entry) => {
-                    let hit = validate_entry(entry, spec)?;
-                    touch(&path);
-                    Some(hit)
-                }
-                Err(e) if e.is_corrupt() => {
-                    quarantine(dir, &path, &e.to_string());
-                    None
-                }
-                // Stale container/schema/kind: a miss rewrites it in place.
-                Err(_) => None,
-            }
-        }
-        // No binary entry: fall back to a legacy JSON-era record.
-        Err(_) => disk_load_legacy(dir, key, spec),
-    }
-}
-
-/// Reads a legacy JSON entry (previous schema generation) and, on a
-/// hit, rewrites it as a binary record so the next load takes the fast
-/// path — the transparent migration promised in the README.
-fn disk_load_legacy(
-    dir: &std::path::Path,
-    key: u64,
-    spec: &BenchmarkSpec,
-) -> Option<(Vec<u64>, SlackProfile)> {
-    let path = legacy_disk_path_in(dir, key);
     let mut bytes = std::fs::read(&path).ok()?;
     fault::corrupt_cache_bytes(key, &mut bytes);
-    let Some(payload) = open_record(&bytes) else {
-        quarantine(dir, &path, "bad legacy envelope or checksum");
-        return None;
-    };
-    let entry: DiskEntry = match serde_json::from_str(&payload) {
-        Ok(entry) => entry,
-        Err(_) => {
-            quarantine(dir, &path, "legacy payload does not parse");
-            return None;
+    match binfmt::from_record::<DiskEntry>(&bytes, RecordKind::CacheEntry, CACHE_SCHEMA) {
+        Ok(entry) => {
+            let hit = validate_entry(entry, spec)?;
+            touch(&path);
+            Some(hit)
         }
-    };
-    let hit = validate_entry(entry, spec)?;
-    disk_store_to(dir, key, spec, &hit.0, &hit.1);
-    let _ = std::fs::remove_file(&path);
-    mg_info!(
-        "cache: migrated legacy entry {} to the binary format",
-        path.display()
-    );
-    Some(hit)
+        Err(e) if e.is_corrupt() => {
+            quarantine(dir, &path, &e.to_string());
+            None
+        }
+        // Stale container/schema/kind: a miss rewrites it in place.
+        Err(_) => None,
+    }
 }
 
 /// Configured size cap in megabytes. `u64::MAX` is the "unset"
@@ -422,35 +342,37 @@ fn cache_cap_bytes() -> u64 {
     mb.saturating_mul(1024 * 1024)
 }
 
-/// Evicts least-recently-used cache entries from `dir` until the
-/// remaining `ctx-*.mgb` (and not-yet-migrated `ctx-*.json`) files
-/// total at most `cap_bytes`. "Least recently used" is by mtime:
-/// loads freshen entries on every hit, and stores write them new. Ties
-/// break by file name so eviction order is deterministic. Best-effort:
-/// I/O errors skip the affected entry.
+/// Evicts cache entries from `dir` until the remaining `ctx-*.mgb` and
+/// leftover JSON-era `ctx-*.json` files total at most `cap_bytes`.
+/// Leftovers are never read, so they go first; binary entries then go
+/// least-recently-used first, by mtime (loads freshen entries on every
+/// hit, and stores write them new). Ties break by file name so eviction
+/// order is deterministic. Best-effort: I/O errors skip the affected
+/// entry.
 fn evict_lru(dir: &std::path::Path, cap_bytes: u64) {
     let Ok(listing) = std::fs::read_dir(dir) else {
         return;
     };
-    let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = listing
+    let mut entries: Vec<(bool, std::time::SystemTime, PathBuf, u64)> = listing
         .flatten()
         .filter_map(|e| {
             let path = e.path();
             let name = path.file_name()?.to_str()?;
-            if !(name.starts_with("ctx-") && (name.ends_with(".mgb") || name.ends_with(".json"))) {
+            let live = name.ends_with(".mgb");
+            if !(name.starts_with("ctx-") && (live || name.ends_with(".json"))) {
                 return None;
             }
             let meta = e.metadata().ok()?;
             let mtime = meta.modified().ok()?;
-            Some((mtime, path, meta.len()))
+            Some((live, mtime, path, meta.len()))
         })
         .collect();
-    let mut total: u64 = entries.iter().map(|&(_, _, len)| len).sum();
+    let mut total: u64 = entries.iter().map(|&(_, _, _, len)| len).sum();
     if total <= cap_bytes {
         return;
     }
-    entries.sort(); // oldest mtime first, then by path
-    for (_, path, len) in entries {
+    entries.sort(); // leftovers first, then oldest mtime, then by path
+    for (_, _, path, len) in entries {
         if total <= cap_bytes {
             break;
         }
@@ -657,20 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_record_envelope_round_trips_and_detects_corruption() {
-        let payload = r#"{"schema_version":2,"bench":"mib_sha"}"#.to_string();
-        let sealed = seal_record(payload.clone()).unwrap();
-        assert_eq!(open_record(&sealed).as_deref(), Some(payload.as_str()));
-        // Truncation and payload flips both fail the envelope check.
-        assert!(open_record(&sealed[..sealed.len() / 2]).is_none());
-        let mut flipped = sealed.clone();
-        let idx = flipped.len() / 2;
-        flipped[idx] ^= 0x01;
-        assert!(open_record(&flipped).is_none());
-        assert!(open_record(b"not json at all").is_none());
-    }
-
-    #[test]
     fn cache_outcome_tags_round_trip() {
         for outcome in [
             CacheOutcome::MemHit,
@@ -749,45 +657,36 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_entries_load_and_migrate_to_binary() {
-        let dir = std::env::temp_dir().join(format!("mg-cache-legacy-{}", std::process::id()));
+    fn leftover_json_entries_are_a_clean_miss() {
+        let dir = std::env::temp_dir().join(format!("mg-cache-leftover-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
-        let entry = DiskEntry {
-            schema_version: CACHE_SCHEMA,
-            bench: spec.name.clone(),
-            freqs: vec![9, 8, 7],
-            slack: SlackProfile::default(),
-        };
-        let payload = serde_json::to_string(&entry).unwrap();
-        let legacy = legacy_disk_path_in(&dir, 99);
-        std::fs::write(&legacy, seal_record(payload).unwrap()).unwrap();
+        // A JSON-era entry where the binary one would live.
+        let leftover = dir.join(format!("ctx-{:016x}.json", 99));
+        let envelope = r#"{"checksum":"0000000000000000","payload":"{}"}"#;
+        std::fs::write(&leftover, envelope).unwrap();
 
-        let (f, _) = disk_load_from(&dir, 99, &spec).expect("legacy entry hits");
-        assert_eq!(f, vec![9, 8, 7]);
-        assert!(!legacy.exists(), "legacy file removed after migration");
-        assert!(
-            disk_path_in(&dir, 99).exists(),
-            "binary replacement written"
+        assert!(disk_load_from(&dir, 99, &spec).is_none(), "not loaded");
+        assert_eq!(
+            std::fs::read_to_string(&leftover).ok().as_deref(),
+            Some(envelope),
+            "not deleted or rewritten"
         );
-        // Second load comes from the binary record.
-        let (f2, _) = disk_load_from(&dir, 99, &spec).expect("binary entry hits");
-        assert_eq!(f2, vec![9, 8, 7]);
+        assert!(!disk_path_in(&dir, 99).exists(), "not migrated");
+        assert!(!dir.join("quarantine").exists(), "not quarantined");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regenerates the checked-in cache fixtures under `tests/format/`
-    /// — one legacy JSON entry and one binary entry of the same
-    /// deterministic payload. Run explicitly when the record shape
-    /// changes generation:
+    /// Regenerates the checked-in binary cache fixture under
+    /// `tests/format/` from a deterministic payload. Run explicitly when
+    /// the record shape changes generation:
     /// `cargo test -p mg-bench --lib -- --ignored regenerate_cache_fixtures`
     #[test]
     #[ignore = "writes checked-in fixtures; run on schema generation changes"]
     fn regenerate_cache_fixtures() {
         let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/format"));
         std::fs::create_dir_all(&dir).unwrap();
-        let _ = std::fs::remove_file(legacy_disk_path_in(&dir, 0x2a));
         let _ = std::fs::remove_file(disk_path_in(&dir, 0x2b));
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
         let freqs = vec![1u64, 1, 449, 449, 449, 0, 0, 0, 253];
@@ -801,18 +700,7 @@ mod tests {
                 mg_sim::StaticProfile::default(),
             ],
         };
-        // Binary entry via the current writer.
         disk_store_to(&dir, 0x2b, &spec, &freqs, &slack);
-        // Legacy entry byte-for-byte as the JSON-era writer produced it.
-        let entry = DiskEntry {
-            schema_version: CACHE_SCHEMA,
-            bench: spec.name.clone(),
-            freqs,
-            slack,
-        };
-        let payload = serde_json::to_string(&entry).unwrap();
-        let sealed = seal_record(payload).unwrap();
-        std::fs::write(legacy_disk_path_in(&dir, 0x2a), sealed).unwrap();
     }
 
     #[test]
@@ -821,12 +709,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mg-cache-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Four 100-byte entries with strictly increasing mtimes, plus one
-        // non-entry file that must never be touched.
+        // Four 100-byte entries with strictly increasing mtimes, then a
+        // JSON-era leftover that is newest of all, plus one non-entry
+        // file that must never be touched.
         let payload = [0u8; 100];
-        for (i, name) in ["ctx-a.json", "ctx-b.json", "ctx-c.json", "ctx-d.json"]
-            .iter()
-            .enumerate()
+        for (i, name) in [
+            "ctx-a.mgb",
+            "ctx-b.mgb",
+            "ctx-c.mgb",
+            "ctx-d.mgb",
+            "ctx-e.json",
+        ]
+        .iter()
+        .enumerate()
         {
             let path = dir.join(name);
             std::fs::write(&path, payload).unwrap();
@@ -836,28 +731,31 @@ mod tests {
         }
         std::fs::write(dir.join("unrelated.txt"), payload).unwrap();
 
-        // Cap fits two entries: the two oldest go, the two newest stay.
+        // Cap fits two entries: the leftover counts against the cap and
+        // goes first despite being newest, then the two oldest entries;
+        // the two newest stay.
         evict_lru(&dir, 200);
-        assert!(!dir.join("ctx-a.json").exists());
-        assert!(!dir.join("ctx-b.json").exists());
-        assert!(dir.join("ctx-c.json").exists());
-        assert!(dir.join("ctx-d.json").exists());
+        assert!(!dir.join("ctx-e.json").exists());
+        assert!(!dir.join("ctx-a.mgb").exists());
+        assert!(!dir.join("ctx-b.mgb").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
+        assert!(dir.join("ctx-d.mgb").exists());
         assert!(dir.join("unrelated.txt").exists());
 
         // A "touched" (recently used) old entry survives over a newer one.
         let f = std::fs::File::options()
             .append(true)
-            .open(dir.join("ctx-c.json"))
+            .open(dir.join("ctx-c.mgb"))
             .unwrap();
         f.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(9_000))
             .unwrap();
         evict_lru(&dir, 100);
-        assert!(dir.join("ctx-c.json").exists());
-        assert!(!dir.join("ctx-d.json").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
+        assert!(!dir.join("ctx-d.mgb").exists());
 
         // Under-cap directories are left alone.
         evict_lru(&dir, 10_000);
-        assert!(dir.join("ctx-c.json").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -51,13 +51,12 @@ pub const JOURNAL_KEEP_ENV: &str = "MG_JOURNAL_KEEP";
 /// Environment variable selecting the logger verbosity.
 pub const LOG_ENV: &str = "MG_LOG";
 
-/// Environment variable (`1`/`true`/`yes`, or `json`) enabling
-/// wall-time span collection (`mg_obs::span`). When on,
+/// Environment variable (`1`/`true`/`yes`) enabling wall-time span
+/// collection (`mg_obs::span`). When on,
 /// [`crate::supervisor::run_cli`] drains the collected spans to
 /// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record)
-/// at sweep exit; the special value `json` additionally writes the
-/// legacy `results/TRACE_<bin>.json` Chrome trace-event view (loadable
-/// in Perfetto directly, without an export step).
+/// at sweep exit; `export_json` renders its Chrome trace-event JSON
+/// view for Perfetto.
 pub const TRACE_ENV: &str = "MG_TRACE";
 
 /// All `MG_*` knobs as one typed value.
@@ -82,9 +81,6 @@ pub struct Config {
     pub log_level: Option<Level>,
     /// Collect wall-time spans for a Perfetto trace (`MG_TRACE`).
     pub trace: bool,
-    /// Also write the Chrome-JSON debug view of the trace
-    /// (`MG_TRACE=json`); implies [`Config::trace`].
-    pub trace_json: bool,
     /// Fault-injection plan (`MG_FAULT`); `None` leaves whatever plan
     /// is installed (none, unless a test set one) in place.
     #[cfg(feature = "fault-inject")]
@@ -123,23 +119,10 @@ pub fn parse_flag(knob: &str, value: &str) -> Result<bool, BenchError> {
     }
 }
 
-/// Parses the `MG_TRACE` knob: boolean flags toggle span collection
-/// (binary `TRACE_<bin>.mgb` artifact); the special value `json`
-/// enables collection *and* the Chrome-JSON debug view. Returns
-/// `(trace, trace_json)`.
-pub fn parse_trace(value: &str) -> Result<(bool, bool), BenchError> {
-    if value.trim().eq_ignore_ascii_case("json") {
-        return Ok((true, true));
-    }
+/// Parses the `MG_TRACE` knob, a boolean flag toggling span collection
+/// (binary `TRACE_<bin>.mgb` artifact).
+pub fn parse_trace(value: &str) -> Result<bool, BenchError> {
     parse_flag(TRACE_ENV, value)
-        .map(|on| (on, false))
-        .map_err(|_| {
-            bad(
-                TRACE_ENV,
-                value,
-                "expected a boolean flag (1/true/yes) or `json`",
-            )
-        })
 }
 
 /// Parses an `MG_CACHE_MAX_MB`-style megabyte count (non-negative
@@ -176,10 +159,10 @@ impl Config {
         // `Level::parse` is deliberately lenient (a typo must never
         // silence error output), so this knob cannot fail.
         let log_level = env_var(LOG_ENV).map(|v| Level::parse(&v));
-        let (trace, trace_json) = env_var(TRACE_ENV)
+        let trace = env_var(TRACE_ENV)
             .map(|v| parse_trace(&v))
             .transpose()?
-            .unwrap_or((false, false));
+            .unwrap_or(false);
         #[cfg(feature = "fault-inject")]
         let fault = env_var(crate::fault::FAULT_ENV)
             .map(|v| crate::fault::parse_plan(&v))
@@ -191,7 +174,6 @@ impl Config {
             journal_keep,
             log_level,
             trace,
-            trace_json,
             #[cfg(feature = "fault-inject")]
             fault,
         })
@@ -333,19 +315,22 @@ mod tests {
         assert!(!cfg.resume);
         assert!(!cfg.journal_keep);
         assert!(!cfg.trace);
-        assert!(!cfg.trace_json);
         // Applying the default config must not disturb any subsystem.
         cfg.apply();
     }
 
     #[test]
-    fn parse_trace_accepts_flags_and_json() {
-        assert_eq!(parse_trace("1").unwrap(), (true, false));
-        assert_eq!(parse_trace("0").unwrap(), (false, false));
-        assert_eq!(parse_trace("json").unwrap(), (true, true));
-        assert_eq!(parse_trace(" JSON ").unwrap(), (true, true));
-        let err = parse_trace("perfetto").expect_err("garbage trace mode");
-        assert!(err.to_string().contains(TRACE_ENV), "{err}");
-        assert!(err.to_string().contains("json"), "diagnostic names `json`");
+    fn parse_trace_accepts_flags_and_rejects_json() {
+        assert!(parse_trace("1").unwrap());
+        assert!(!parse_trace("0").unwrap());
+        for bad in ["json", " JSON ", "perfetto"] {
+            match parse_trace(bad).expect_err(bad) {
+                BenchError::Config { knob, value, .. } => {
+                    assert_eq!(knob, TRACE_ENV);
+                    assert_eq!(value, bad, "error names the offending value");
+                }
+                other => panic!("expected Config error for {bad:?}, got {other:?}"),
+            }
+        }
     }
 }

@@ -638,7 +638,7 @@ impl SchemeRun {
 /// carries the full [`mg_obs::ObsReport`] (trace tail, stall attribution,
 /// occupancy, windowed IPC).
 #[cfg(feature = "obs")]
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ObsSection {
     /// Benchmark name.
     pub bench: String,

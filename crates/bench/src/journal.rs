@@ -14,18 +14,15 @@
 //! checksummed [`crate::binfmt`] container
 //! ([`crate::binfmt::RecordKind::JournalRow`]), so a record either
 //! exists completely and verifies, or it is quarantined and treated as
-//! absent; a process killed mid-write never leaves torn state. Rows
-//! from the JSON era (`row-*.json`, FNV-checksummed envelope) are still
-//! read transparently for one schema generation, so a sweep
-//! interrupted before an upgrade resumes bit-identically after it.
-//! Only *finished* rows are journaled — failed cells are finished
+//! absent; a process killed mid-write never leaves torn state. Binary
+//! records are the only format read: a leftover JSON-era `row-*.json`
+//! is ignored, so its row simply re-runs. Only *finished* rows are journaled — failed cells are finished
 //! (their errors are deterministic and replay bit-identically) but
 //! rows skipped by a shutdown are not, so a resume re-runs exactly the
 //! work that never completed.
 //!
 //! Journal I/O is best-effort, like the context cache: an unwritable
-//! directory degrades to journaling nothing — but unlike the JSON era,
-//! every write failure is logged and counted
+//! directory degrades to journaling nothing — but every write failure is logged and counted
 //! (`mg_journal_write_errors_total`) instead of silently swallowed, and
 //! corrupt records land in `<sweep-dir>/quarantine/` for post-mortem
 //! (`mg_journal_quarantined_total`).
@@ -53,7 +50,7 @@
 //! job) is deliberately excluded.
 
 use crate::binfmt::{self, RecordKind};
-use crate::cache::{open_record, quarantine_into, stable_hash64, CacheOutcome};
+use crate::cache::{quarantine_into, stable_hash64, CacheOutcome};
 use crate::harness::{machine_fingerprint, BenchError, SchemeRun};
 use crate::runner::BenchRows;
 use mg_obs::mg_error;
@@ -132,11 +129,6 @@ impl Journal {
         ))
     }
 
-    fn legacy_row_path(&self, idx: usize) -> PathBuf {
-        self.dir
-            .join(format!("row-{idx:04}-{:016x}.json", self.row_keys[idx]))
-    }
-
     fn quarantine(&self, path: &Path, why: &str) {
         quarantine_into(
             &self.dir.join("quarantine"),
@@ -153,24 +145,17 @@ impl Journal {
     /// additionally move to the sweep's `quarantine/` directory.
     pub fn load_row(&self, idx: usize, cell_count: usize) -> Option<BenchRows> {
         let path = self.row_path(idx);
-        let row = match std::fs::read(&path) {
-            Ok(bytes) => {
-                match binfmt::from_record::<JournalRow>(
-                    &bytes,
-                    RecordKind::JournalRow,
-                    JOURNAL_SCHEMA,
-                ) {
-                    Ok(row) => row,
-                    Err(err) => {
-                        if err.is_corrupt() {
-                            self.quarantine(&path, &err.to_string());
-                        }
-                        return None;
+        let bytes = std::fs::read(&path).ok()?;
+        let row: JournalRow =
+            match binfmt::from_record(&bytes, RecordKind::JournalRow, JOURNAL_SCHEMA) {
+                Ok(row) => row,
+                Err(err) => {
+                    if err.is_corrupt() {
+                        self.quarantine(&path, &err.to_string());
                     }
+                    return None;
                 }
-            }
-            Err(_) => self.load_legacy_row(idx)?,
-        };
+            };
         if row.schema_version != JOURNAL_SCHEMA
             || row.row_index != idx
             || row.row_key != format!("{:016x}", self.row_keys[idx])
@@ -196,30 +181,6 @@ impl Journal {
             #[cfg(feature = "obs")]
             obs: None,
         })
-    }
-
-    /// Reads a JSON-era row record (checksummed [`DiskRecord`]
-    /// envelope around a JSON [`JournalRow`]), the on-disk format
-    /// before the binary container. Supported read-only for one schema
-    /// generation so in-flight sweeps resume across the upgrade;
-    /// records that fail the envelope checksum or JSON parse are
-    /// quarantined like corrupt binary ones.
-    ///
-    /// [`DiskRecord`]: crate::cache::seal_record
-    fn load_legacy_row(&self, idx: usize) -> Option<JournalRow> {
-        let path = self.legacy_row_path(idx);
-        let bytes = std::fs::read(&path).ok()?;
-        let Some(payload) = open_record(&bytes) else {
-            self.quarantine(&path, "legacy journal record failed its checksum");
-            return None;
-        };
-        match serde_json::from_str(&payload) {
-            Ok(row) => Some(row),
-            Err(err) => {
-                self.quarantine(&path, &format!("legacy journal record unparsable: {err}"));
-                None
-            }
-        }
     }
 
     /// Loads the single-cell record written by [`Journal::store_cell`]
@@ -459,50 +420,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_rows_resume_alongside_binary_rows() {
-        let root = temp_root("mixed");
-        let journal = Journal::new(&root, 0xdead, vec![5, 6]);
-        // Row 1 written by the current binary writer; row 0 fabricated
-        // byte-for-byte as the JSON-era writer produced it.
-        journal.store_row(1, &demo_rows("mib_sha"));
-        let rows = demo_rows("mib_crc32");
-        let legacy = JournalRow {
-            schema_version: JOURNAL_SCHEMA,
-            bench: rows.bench.clone(),
-            row_index: 0,
-            row_key: format!("{:016x}", 5u64),
-            cells: rows
-                .runs
-                .iter()
-                .map(|r| match r {
-                    Ok(run) => JournalCell::Ok(run.clone()),
-                    Err(e) => JournalCell::Err(e.clone()),
-                })
-                .collect(),
-            wall_ms: 1234,
-            cache: rows.cache.map(|c| c.tag().to_string()),
-        };
+    fn leftover_json_rows_are_a_clean_miss() {
+        let root = temp_root("leftover");
+        let journal = Journal::new(&root, 0xdead, vec![5]);
         std::fs::create_dir_all(journal.dir()).unwrap();
-        let payload = serde_json::to_string(&legacy).unwrap();
-        let sealed = crate::cache::seal_record(payload).unwrap();
-        std::fs::write(journal.legacy_row_path(0), sealed).unwrap();
+        // A JSON-era row record where the binary one would live.
+        let leftover = journal.dir().join(format!("row-0000-{:016x}.json", 5u64));
+        let body = r#"{"checksum":"0000000000000000","payload":"{}"}"#;
+        std::fs::write(&leftover, body).unwrap();
 
-        // Both eras replay from the same directory.
-        let back0 = journal.load_row(0, 2).expect("legacy JSON row replays");
-        let back1 = journal.load_row(1, 2).expect("binary row replays");
-        assert_eq!(back0.bench, "mib_crc32");
-        assert_eq!(back1.bench, "mib_sha");
-        // Replay is bit-identical across eras: the same demo cells come
-        // back with the same float bits and the same error payloads.
-        let a = back0.runs[0].as_ref().unwrap();
-        let b = back1.runs[0].as_ref().unwrap();
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(back0.wall, back1.wall);
-        assert!(matches!(
-            back0.runs[1],
-            Err(BenchError::Panicked { cell: 1, .. })
-        ));
+        assert!(journal.load_row(0, 2).is_none(), "not replayed");
+        assert_eq!(
+            std::fs::read_to_string(&leftover).ok().as_deref(),
+            Some(body),
+            "not deleted"
+        );
+        assert!(
+            !journal.dir().join("quarantine").exists(),
+            "not quarantined"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -526,10 +462,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Regenerates the checked-in journal fixtures under
-    /// `tests/format/` — one legacy JSON row and one binary row of the
-    /// same deterministic demo payload. Run explicitly when the record
-    /// shape changes generation:
+    /// Regenerates the checked-in binary journal fixture under
+    /// `tests/format/` from the deterministic demo payload. Run
+    /// explicitly when the record shape changes generation:
     /// `cargo test -p mg-bench --lib -- --ignored regenerate_journal_fixtures`
     #[test]
     #[ignore = "writes checked-in fixtures; run on schema generation changes"]
@@ -537,30 +472,7 @@ mod tests {
         let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/format"));
         let journal = Journal::new(&root, 0xf1, vec![0x2a, 0x2b]);
         let _ = std::fs::remove_dir_all(journal.dir());
-        std::fs::create_dir_all(journal.dir()).unwrap();
-        // Binary row via the current writer.
         journal.store_row(1, &demo_rows("mib_crc32"));
-        // Legacy row byte-for-byte as the JSON-era writer produced it.
-        let rows = demo_rows("mib_sha");
-        let legacy = JournalRow {
-            schema_version: JOURNAL_SCHEMA,
-            bench: rows.bench.clone(),
-            row_index: 0,
-            row_key: format!("{:016x}", 0x2au64),
-            cells: rows
-                .runs
-                .iter()
-                .map(|r| match r {
-                    Ok(run) => JournalCell::Ok(run.clone()),
-                    Err(e) => JournalCell::Err(e.clone()),
-                })
-                .collect(),
-            wall_ms: 1234,
-            cache: rows.cache.map(|c| c.tag().to_string()),
-        };
-        let payload = serde_json::to_string(&legacy).unwrap();
-        let sealed = crate::cache::seal_record(payload).unwrap();
-        std::fs::write(journal.legacy_row_path(0), sealed).unwrap();
     }
 
     #[test]

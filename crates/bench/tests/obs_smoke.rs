@@ -1,18 +1,19 @@
 //! End-to-end smoke of the observability stack (`--features obs`):
 //! conservation of stall attribution against the engine's own cycle
-//! count, schema validity of the emitted trace JSON, pipeview rendering,
+//! count, a typed round-trip of the binary trace dump, pipeview rendering,
 //! sweep-level aggregation, and — the zero-cost contract's run-time
 //! half — bit-identical statistics with the observer attached.
 
 #![cfg(feature = "obs")]
 
+use mg_bench::binfmt::{self, BinError, RecordKind};
 use mg_bench::harness::ObsSection;
 use mg_bench::{
     machine_fingerprint, BenchContext, Envelope, Scheme, SweepCell, SweepSpec, SCHEMA_VERSION,
 };
 use mg_sim::{MachineConfig, ObsConfig};
 use mg_workloads::{suite, BenchmarkSpec};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 fn short_spec(name: &str) -> BenchmarkSpec {
     let mut s = suite()
@@ -86,24 +87,74 @@ fn pipeview_renders_the_tail_of_the_run() {
     );
 }
 
+/// Seals `value` as an obs dump record and decodes it as the typed
+/// envelope, exactly as the `obs` bin reads its artifact back.
+fn typed_decode(value: &Value) -> Result<Envelope<ObsSection>, BinError> {
+    let bytes = binfmt::to_record(RecordKind::ObsDump, SCHEMA_VERSION, value);
+    binfmt::from_record(&bytes, RecordKind::ObsDump, SCHEMA_VERSION)
+}
+
+/// The entry `key` of a JSON-shaped object, for targeted damage.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Map(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("field {key} present")),
+        other => panic!("expected an object at {key}, got {other:?}"),
+    }
+}
+
 #[test]
-fn trace_json_matches_checked_in_schema() {
+fn trace_dump_round_trips_through_a_typed_decode() {
     let red = MachineConfig::reduced();
     let (_, report) = ctx("mib_crc32")
         .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
         .expect("instrumented run succeeds");
+    let section = ObsSection::new("mib_crc32", Scheme::StructAll, report);
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,
         machine_fingerprint: machine_fingerprint(),
-        rows: ObsSection::new("mib_crc32", Scheme::StructAll, report),
+        rows: section.clone(),
     };
     let value = envelope.to_value();
-    let schema_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/obs/trace.schema.json");
-    let schema_text = std::fs::read_to_string(schema_path).expect("schema file readable");
-    let schema = serde_json::parse_value_str(&schema_text).expect("schema file parses");
-    if let Err(e) = mg_obs::schema::validate(&value, &schema) {
-        panic!("trace JSON violates tests/obs/trace.schema.json: {e}");
+    let back = typed_decode(&value).expect("dump decodes as a typed section");
+    assert_eq!(back.schema_version, SCHEMA_VERSION);
+    assert_eq!(back.machine_fingerprint, machine_fingerprint());
+    assert_eq!(back.rows, section, "every value survives the record");
+    assert!(
+        !back.rows.report.trace.is_empty(),
+        "the dump carries trace rows"
+    );
+
+    // The rules a schema would state are enforced by the decode itself:
+    // a required field, an integer type, and the op-class enum.
+    let mut missing = value.clone();
+    if let Value::Map(entries) = field_mut(field_mut(&mut missing, "rows"), "report") {
+        entries.retain(|(k, _)| k != "cycles");
     }
+    assert!(typed_decode(&missing).is_err(), "missing field rejected");
+
+    let mut mistyped = value.clone();
+    *field_mut(
+        field_mut(field_mut(&mut mistyped, "rows"), "report"),
+        "cycles",
+    ) = Value::Str("many".into());
+    assert!(typed_decode(&mistyped).is_err(), "non-integer rejected");
+
+    let mut bad_class = value.clone();
+    let trace = field_mut(
+        field_mut(field_mut(&mut bad_class, "rows"), "report"),
+        "trace",
+    );
+    if let Value::Seq(ops) = trace {
+        *field_mut(&mut ops[0], "class") = Value::Str("Bogus".into());
+    }
+    assert!(
+        typed_decode(&bad_class).is_err(),
+        "unknown op class rejected"
+    );
 }
 
 #[test]

@@ -19,16 +19,14 @@
 //!   drives from its pipeline hook points.
 //! - [`report`]: the serializable [`ObsReport`] a run produces and the
 //!   [`ObsAggregate`] the sweep runner folds reports into.
-//! - [`schema`]: a minimal JSON-Schema subset validator used by the CI
-//!   `obs-smoke` job to check emitted trace JSON against a checked-in
-//!   schema.
 //! - [`telemetry`]: the always-on `mg-telemetry` runtime-metrics layer
 //!   — lock-free counters, gauges, and log-bucketed latency histograms
 //!   in a process-global registry with mergeable snapshots, rendered
 //!   as Prometheus text by mg-serve's `/metrics` listener and written
 //!   to `results/TELEMETRY_<bin>.json` by `run_cli`.
 //! - [`span`]: hierarchical wall-time spans (sweep → bench → cell →
-//!   stage) serializing to Chrome-trace-event JSON for Perfetto.
+//!   stage) shaped as Chrome trace events, so their JSON view loads in
+//!   Perfetto.
 //!
 //! The *pipeline* instrumentation above is only linked when the
 //! simulator is built with its `obs` cargo feature; with the feature
@@ -45,7 +43,6 @@ pub mod log;
 pub mod metrics;
 pub mod report;
 pub mod ring;
-pub mod schema;
 pub mod span;
 pub mod stall;
 pub mod telemetry;

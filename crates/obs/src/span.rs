@@ -12,9 +12,10 @@
 //! atomic load and two `Instant` reads); the `MG_TRACE` knob — parsed
 //! by `mg_bench::config` like every other `MG_*` knob — turns it on,
 //! and `run_cli` drains the buffer at sweep exit to the binary record
-//! `results/TRACE_<bin>.mgb` (plus the Chrome-JSON view,
-//! `results/TRACE_<bin>.json`, with `MG_TRACE=json`). The hierarchy
-//! convention is category `sweep` → `bench` → `cell` → `stage`.
+//! `results/TRACE_<bin>.mgb`. Its JSON view for Perfetto comes from the
+//! one export path, `export_json results/TRACE_<bin>.mgb`, which writes
+//! `results/TRACE_<bin>.json`. The hierarchy convention is category
+//! `sweep` → `bench` → `cell` → `stage`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -210,36 +211,6 @@ pub fn chrome_trace(events: Vec<TraceEvent>) -> ChromeTrace {
         traceEvents: events,
         displayTimeUnit: "ms".to_string(),
     }
-}
-
-/// Serializes events to a Chrome trace JSON string loadable in
-/// Perfetto.
-///
-/// Serialization failure is not allowed to take the process down at
-/// drain time (this runs during shutdown, after the real work
-/// succeeded): it degrades to a logged error and a valid empty trace
-/// document.
-pub fn to_chrome_json(events: Vec<TraceEvent>) -> String {
-    let n = events.len();
-    match serde_json::to_string(&chrome_trace(events)) {
-        Ok(json) => json,
-        Err(err) => {
-            crate::tele_counter!("mg_trace_serialize_errors_total").inc();
-            crate::mg_error!(
-                "trace: failed to serialize {n} span events ({err}); writing an empty trace"
-            );
-            r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#.to_string()
-        }
-    }
-}
-
-/// Drains the buffer and writes it as Chrome trace JSON to `path`.
-/// Returns the number of events written.
-pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<usize> {
-    let events = drain();
-    let n = events.len();
-    std::fs::write(path, to_chrome_json(events))?;
-    Ok(n)
 }
 
 #[cfg(test)]

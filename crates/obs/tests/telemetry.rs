@@ -219,7 +219,7 @@ fn span_nesting_and_chrome_trace_round_trip() {
     );
 
     // Round trip: what Perfetto loads is exactly what was recorded.
-    let json = span::to_chrome_json(events.clone());
+    let json = serde_json::to_string(&span::chrome_trace(events.clone())).unwrap();
     let back: ChromeTrace = serde_json::from_str(&json).unwrap();
     assert_eq!(back.displayTimeUnit, "ms");
     assert_eq!(back.traceEvents, events);

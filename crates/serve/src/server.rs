@@ -18,7 +18,9 @@
 //! queued (cells started after the request come back `Interrupted`,
 //! so a drain is prompt but every stream still terminates with `Done`),
 //! and leftover jobs that no worker will run are aborted with a typed
-//! `ShuttingDown` reject.
+//! `ShuttingDown` reject. Only then do readers stop, on their next read
+//! timeout, and the server joins every connection so each writer has
+//! flushed its final lines before [`Server::run`] returns.
 
 use crate::config::ServeConfig;
 use crate::jobs::JobSpec;
@@ -34,7 +36,7 @@ use mg_obs::mg_error;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -106,7 +108,10 @@ impl Server {
     /// Serves until [`mg_bench::request_shutdown`] (typically wired to
     /// SIGINT/SIGTERM by the daemon binary), then drains: the queue
     /// closes, workers finish what was queued, jobs nothing will run
-    /// are aborted with `ShuttingDown`. Returns lifetime stats.
+    /// are aborted with `ShuttingDown`, and every connection is joined
+    /// once its writer has delivered what the store sent it (a peer
+    /// that stops reading is bounded by the write timeout). Returns
+    /// lifetime stats.
     pub fn run(self) -> ServeStats {
         mg_obs::tele_gauge!(metrics::WORKERS).set(self.cfg.workers as i64);
         let workers: Vec<JoinHandle<()>> = (0..self.cfg.workers)
@@ -124,6 +129,10 @@ impl Server {
 
         let client_ids = AtomicU64::new(0);
         let mut connections = 0u64;
+        // Set once every job is finished or aborted: from then on no
+        // store subscription can send again, and readers may return.
+        let drained = Arc::new(AtomicBool::new(false));
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -134,15 +143,19 @@ impl Server {
                     let queue = Arc::clone(&self.queue);
                     let shed = Arc::clone(&self.shed);
                     let cfg = self.cfg.clone();
-                    // Connection threads are detached: they exit when
-                    // the peer hangs up (or at process exit); the store
-                    // prunes their subscriptions on the first failed
-                    // send either way.
-                    let _ = std::thread::Builder::new()
+                    let drained = Arc::clone(&drained);
+                    // Handles of finished connections are dropped as
+                    // new ones arrive, so a long-lived daemon keeps
+                    // only its live connections.
+                    conns.retain(|c| !c.is_finished());
+                    let conn = std::thread::Builder::new()
                         .name(format!("mg-serve-conn-{client}"))
                         .spawn(move || {
-                            serve_connection(stream, client, &store, &queue, &shed, &cfg)
+                            serve_connection(stream, client, &store, &queue, &shed, &cfg, &drained)
                         });
+                    if let Ok(conn) = conn {
+                        conns.push(conn);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
                 Err(_) => std::thread::sleep(POLL),
@@ -160,6 +173,12 @@ impl Server {
                 .abort(job.key, ErrorCode::ShuttingDown, "server is draining", None);
         }
         mg_obs::tele_gauge!(metrics::QUEUE_DEPTH).set(0);
+        // Release pairs with the readers' Acquire load: a reader that
+        // sees the flag also sees every job finished or aborted above.
+        drained.store(true, Ordering::Release);
+        for conn in conns {
+            let _ = conn.join();
+        }
         ServeStats {
             connections,
             store: self.store.counters(),
@@ -304,6 +323,7 @@ fn serve_connection(
     queue: &FairQueue<QueuedJob>,
     shed: &Shed,
     cfg: &ServeConfig,
+    drained: &AtomicBool,
 ) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -333,20 +353,27 @@ fn serve_connection(
                 }
             }
         });
-    if writer.is_err() {
+    let Ok(writer) = writer else {
         return;
-    }
+    };
     let _ = tx.send(reply_line(Reply::Hello {
         protocol: PROTOCOL_VERSION,
         fingerprint: machine_fingerprint(),
     }));
-    read_requests(stream, client, &tx, store, queue, shed, cfg);
-    // Dropping `tx` here does NOT end the writer: the store may still
-    // hold subscription clones streaming rows for this client's jobs.
+    read_requests(stream, client, &tx, store, queue, shed, cfg, drained);
+    // Dropping `tx` does not end the writer by itself: the store may
+    // still hold subscription clones streaming rows for this client's
+    // jobs. The writer ends once the last of them is gone, having
+    // written every line sent before that.
+    drop(tx);
+    let _ = writer.join();
 }
 
 /// The reader loop: one request line at a time, with overlong lines
 /// rejected once and then discarded up to their terminating newline.
+/// Returns when the peer closes its sending half, on a read error, or
+/// once the server has drained every job.
+#[allow(clippy::too_many_arguments)]
 fn read_requests(
     stream: TcpStream,
     client: u64,
@@ -355,11 +382,12 @@ fn read_requests(
     queue: &FairQueue<QueuedJob>,
     shed: &Shed,
     cfg: &ServeConfig,
+    drained: &AtomicBool,
 ) {
     let mut reader = BufReader::new(stream);
     let mut buf = String::new();
     let mut discarding = false;
-    loop {
+    while !drained.load(Ordering::Acquire) {
         match reader.read_line(&mut buf) {
             Ok(0) => return, // peer closed its sending half
             Ok(_) => {
