@@ -1,9 +1,9 @@
 //! Full-suite calibration sweep: every benchmark, every scheme, both
-//! machines; prints suite-wide summary statistics against paper targets.
-use mg_bench::{mean, Scheme, SweepCell, SweepSpec};
+//! machines (the Figure 6 sweep); prints suite-wide summary statistics
+//! against paper targets.
+use mg_bench::figures::{fig6_rows, fig6_spec, Fig6PerScheme, FIG6_SCHEMES};
+use mg_bench::mean;
 use mg_obs::mg_error;
-use mg_sim::MachineConfig;
-use mg_workloads::suite;
 use std::time::Instant;
 
 fn main() {
@@ -11,61 +11,18 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(78);
-    let base = MachineConfig::baseline();
-    let red = MachineConfig::reduced();
-    let schemes = [
-        Scheme::StructAll,
-        Scheme::StructNone,
-        Scheme::StructBounded,
-        Scheme::SlackProfile,
-        Scheme::SlackDynamic,
-    ];
-    // Cells: no-mg on both machines, then a (reduced, baseline) pair per
-    // scheme at indices (2 + 2*si, 3 + 2*si).
-    let mut spec = SweepSpec::new(&red)
-        .benches(suite().iter().take(take).cloned())
-        .cell(SweepCell::new(Scheme::NoMg, &base))
-        .cell(SweepCell::new(Scheme::NoMg, &red));
-    for s in schemes {
-        spec = spec
-            .cell(SweepCell::new(s, &red))
-            .cell(SweepCell::new(s, &base));
-    }
     let t0 = Instant::now();
-    let result = spec.run_cli();
-    let mut rel_red: Vec<Vec<f64>> = vec![vec![]; schemes.len()];
-    let mut rel_full: Vec<Vec<f64>> = vec![vec![]; schemes.len()];
-    let mut cov: Vec<Vec<f64>> = vec![vec![]; schemes.len()];
-    let mut nomg_red = vec![];
-    let mut slower_than_nomg_red = vec![0usize; schemes.len()];
-    let mut slowdown_full = vec![0usize; schemes.len()];
-    for bench in &result.rows {
-        let ok = match bench.all_ok() {
-            Ok(runs) => runs,
-            Err(e) => {
-                mg_error!("skipped: {e}");
-                continue;
-            }
-        };
-        let b = ok[0];
-        let r = ok[1];
-        nomg_red.push(r.ipc / b.ipc);
-        for si in 0..schemes.len() {
-            let rr = ok[2 + 2 * si];
-            let rf = ok[3 + 2 * si];
-            rel_red[si].push(rr.ipc / b.ipc);
-            rel_full[si].push(rf.ipc / b.ipc);
-            cov[si].push(rr.coverage);
-            if rr.ipc < r.ipc {
-                slower_than_nomg_red[si] += 1;
-            }
-            if rf.ipc < b.ipc * 0.995 {
-                slowdown_full[si] += 1;
-            }
-        }
+    let result = fig6_spec(take).run_cli();
+    let (rows, failures) = fig6_rows(&result);
+    for e in &failures {
+        mg_error!("skipped: {e}");
     }
-    let n = nomg_red.len();
-    println!("n={n}  elapsed {:.1}s", t0.elapsed().as_secs_f32());
+    let nomg_red: Vec<f64> = rows.iter().map(|r| r.nomg_red).collect();
+    println!(
+        "n={}  elapsed {:.1}s",
+        rows.len(),
+        t0.elapsed().as_secs_f32()
+    );
     println!(
         "no-mg reduced: mean rel {:.3}   (paper 0.82)",
         mean(&nomg_red)
@@ -81,15 +38,22 @@ fn main() {
         ("Slack-Profile", 1.02, 0.34),
         ("Slack-Dynamic", 0.94, 0.30),
     ];
-    for (si, s) in schemes.iter().enumerate() {
+    for (si, s) in FIG6_SCHEMES.iter().enumerate() {
+        let per: Vec<&Fig6PerScheme> = rows.iter().map(|r| &r.per_scheme[si]).collect();
+        let column = |f: fn(&Fig6PerScheme) -> f64| per.iter().map(|p| f(p)).collect::<Vec<_>>();
+        let slower_than_nomg_red = rows
+            .iter()
+            .filter(|r| r.per_scheme[si].rel_red < r.nomg_red)
+            .count();
+        let slowdown_full = per.iter().filter(|p| p.rel_full < 0.995).count();
         println!(
             "{:<16} {:>8.3} {:>8.3} {:>8.3} {:>10} {:>10}   paper: rel {:.2} cov {:.2}",
             s.name(),
-            mean(&rel_red[si]),
-            mean(&rel_full[si]),
-            mean(&cov[si]),
-            slower_than_nomg_red[si],
-            slowdown_full[si],
+            mean(&column(|p| p.rel_red)),
+            mean(&column(|p| p.rel_full)),
+            mean(&column(|p| p.coverage)),
+            slower_than_nomg_red,
+            slowdown_full,
             paper[si].1,
             paper[si].2
         );

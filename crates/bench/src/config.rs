@@ -18,7 +18,7 @@
 //! | `MG_RESUME` | [`Config::resume`] | resume an interrupted sweep from its journal |
 //! | `MG_JOURNAL_KEEP` | [`Config::journal_keep`] | keep the journal of a completed sweep |
 //! | `MG_LOG` | [`Config::log_level`] | logger verbosity (`off`/`error`/`info`/`debug`) |
-//! | `MG_TRACE` | [`Config::trace`] | collect wall-time spans; `run_cli` writes `results/TRACE_<bin>.mgb` (`json` also writes the Chrome-JSON view) |
+//! | `MG_TRACE` | [`Config::trace`] | collect wall-time spans (boolean flag); `run_cli` writes `results/TRACE_<bin>.mgb` (render its Chrome-JSON view with `export_json`) |
 //! | `MG_FAULT` | [`Config::fault`] | fault-injection plan (feature `fault-inject`) |
 //!
 //! Every malformed value is a [`BenchError::Config`] naming the knob,

@@ -45,6 +45,5 @@ pub use runner::{
 };
 pub use stats::{geomean, mean, s_curve};
 pub use supervisor::{
-    clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell,
-    supervise_cell_until,
+    build_context, clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell,
 };

@@ -26,7 +26,7 @@
 //! per-benchmark timing listing ([`SweepSummary::print_footer`]).
 
 use crate::cache::{self, stable_hash64, CacheCounters, CacheOutcome};
-use crate::harness::{BenchContext, BenchError, Scheme, SchemeRun};
+use crate::harness::{BenchError, Scheme, SchemeRun};
 use crate::journal::{self, Journal};
 use crate::signals::SignalWatch;
 use crate::supervisor;
@@ -37,7 +37,7 @@ use mg_workloads::{BenchmarkSpec, InputSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// One (scheme, machine) cell of a sweep, with optional per-cell
@@ -482,9 +482,9 @@ impl SweepSpec {
         Ok(SweepResult { rows, summary })
     }
 
-    /// One benchmark's task: supervised context construction, then every
-    /// cell under the supervision stack
-    /// ([`supervisor::run_cell_supervised`]).
+    /// One benchmark's task: supervised context construction
+    /// ([`supervisor::build_context`]), then every cell under the
+    /// supervision stack ([`supervisor::run_cell_supervised`]).
     fn run_bench_task(&self, spec: &BenchmarkSpec) -> BenchRows {
         let task0 = Instant::now();
         let _bench_span = mg_obs::span("bench", spec.name.clone());
@@ -496,32 +496,15 @@ impl SweepSpec {
         let mut obs_agg = self.obs.map(|_| mg_obs::ObsAggregate::new());
         let mut runs: Vec<Result<SchemeRun, BenchError>> = Vec::with_capacity(self.cells.len());
         let mut retries_total = 0u32;
-        // Context construction gets the same panic isolation as cells: a
-        // panicking builder fails this row, not the process.
-        let ctx = if supervisor::shutdown_requested() {
-            Err(BenchError::Interrupted {
-                bench: spec.name.clone(),
-            })
-        } else {
-            let _ctx_span = mg_obs::span("stage", format!("{}/context", spec.name));
-            catch_unwind(AssertUnwindSafe(|| {
-                BenchContext::builder(spec, &self.train_cfg)
-                    .train_input(self.train_input.resolve(spec))
-                    .run_input(self.run_input.resolve(spec))
-                    .disk_cache(self.disk_cache)
-                    .build()
-            }))
-            .unwrap_or_else(|e| {
-                Err(BenchError::Panicked {
-                    bench: spec.name.clone(),
-                    cell: 0,
-                    payload: format!("context build: {}", supervisor::panic_payload(e)),
-                })
-            })
-        };
+        let ctx = supervisor::build_context(
+            spec,
+            &self.train_cfg,
+            self.train_input.resolve(spec),
+            self.run_input.resolve(spec),
+            self.disk_cache,
+        );
         let cache_outcome = match ctx {
             Ok(ctx) => {
-                let ctx = Arc::new(ctx);
                 for (j, cell) in self.cells.iter().enumerate() {
                     let (res, retries) = supervisor::run_cell_supervised(
                         &ctx,

@@ -35,10 +35,12 @@
 use crate::harness::{BenchContext, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
 use mg_obs::{mg_debug, mg_error, mg_info, tele_counter};
+use mg_sim::MachineConfig;
+use mg_workloads::{BenchmarkSpec, InputSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process-wide shutdown flag. One flag (not per-sweep) because it
 /// mirrors what a signal means: this *process* should wind down.
@@ -231,58 +233,80 @@ pub(crate) fn run_cell_supervised(
     }
 }
 
+/// Builds one benchmark's context with the same supervision cells get:
+/// after [`request_shutdown`] it builds nothing and reports
+/// [`BenchError::Interrupted`], and a panicking build becomes a
+/// [`BenchError::Panicked`] error (cell 0, payload prefixed
+/// `context build:`) instead of unwinding into the caller. Batch sweeps
+/// and `mg-serve` workers both build through here, so a failed context
+/// fails their cells identically.
+pub fn build_context(
+    spec: &BenchmarkSpec,
+    train_cfg: &MachineConfig,
+    train_input: InputSet,
+    run_input: InputSet,
+    disk_cache: bool,
+) -> Result<Arc<BenchContext>, BenchError> {
+    if shutdown_requested() {
+        return Err(BenchError::Interrupted {
+            bench: spec.name.clone(),
+        });
+    }
+    let _ctx_span = mg_obs::span("stage", format!("{}/context", spec.name));
+    catch_unwind(AssertUnwindSafe(|| {
+        BenchContext::builder(spec, train_cfg)
+            .train_input(train_input)
+            .run_input(run_input)
+            .disk_cache(disk_cache)
+            .build()
+    }))
+    .unwrap_or_else(|e| {
+        Err(BenchError::Panicked {
+            bench: spec.name.clone(),
+            cell: 0,
+            payload: format!("context build: {}", panic_payload(e)),
+        })
+    })
+    .map(Arc::new)
+}
+
 /// Runs one cell under the full supervision stack without the pipeline
 /// observer attached — the entry point `mg-serve` workers use, sharing
-/// shutdown, retry, and watchdog semantics with batch sweeps. Returns
-/// the run (or its error) and how many retries were spent on it.
+/// shutdown, retry, and panic isolation with batch sweeps.
+///
+/// `deadline` is the absolute expiry of a remote client's `deadline_ms`
+/// budget. With one, the cell runs under a watchdog set to the
+/// remaining budget, an already-expired deadline short-circuits to
+/// [`BenchError::TimedOut`] without running anything, and the retry
+/// budget is zeroed (a retry could only finish even later).
 pub fn supervise_cell(
     ctx: &Arc<BenchContext>,
     cell: &SweepCell,
     cell_idx: usize,
-    watchdog: Option<Duration>,
     max_retries: u32,
-) -> (Result<SchemeRun, BenchError>, u32) {
+    deadline: Option<Instant>,
+) -> Result<SchemeRun, BenchError> {
+    let (watchdog, max_retries) = match deadline {
+        None => (None, max_retries),
+        Some(deadline) => {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                tele_counter!("mg_supervisor_deadline_expiries_total").inc();
+                return Err(BenchError::TimedOut {
+                    bench: ctx.spec.name.clone(),
+                    cell: cell_idx,
+                    limit_ms: 0,
+                });
+            }
+            (Some(remaining), 0)
+        }
+    };
     #[cfg(feature = "obs")]
     let obs: ObsArg = None;
     #[cfg(not(feature = "obs"))]
     let obs: ObsArg = ();
-    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, obs);
-    (res.map(|(run, _payload)| run), retries)
-}
-
-/// [`supervise_cell`] with an optional absolute deadline, for callers
-/// executing on behalf of a remote client that attached a `deadline_ms`
-/// budget. The effective watchdog is capped at the remaining budget so a
-/// cell never runs past the deadline by more than the watchdog poll, an
-/// already-expired deadline short-circuits to [`BenchError::TimedOut`]
-/// without running anything, and the retry budget is zeroed (a retry
-/// could only finish even later). `deadline: None` is exactly
-/// [`supervise_cell`].
-pub fn supervise_cell_until(
-    ctx: &Arc<BenchContext>,
-    cell: &SweepCell,
-    cell_idx: usize,
-    watchdog: Option<Duration>,
-    max_retries: u32,
-    deadline: Option<std::time::Instant>,
-) -> (Result<SchemeRun, BenchError>, u32) {
-    let Some(deadline) = deadline else {
-        return supervise_cell(ctx, cell, cell_idx, watchdog, max_retries);
-    };
-    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-    if remaining.is_zero() {
-        tele_counter!("mg_supervisor_deadline_expiries_total").inc();
-        return (
-            Err(BenchError::TimedOut {
-                bench: ctx.spec.name.clone(),
-                cell: cell_idx,
-                limit_ms: 0,
-            }),
-            0,
-        );
-    }
-    let capped = Some(watchdog.map_or(remaining, |w| w.min(remaining)));
-    supervise_cell(ctx, cell, cell_idx, capped, 0)
+    let (res, _retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, obs);
+    res.map(|(run, _payload)| run)
 }
 
 /// The standard binary entry point for a sweep: journaled, resumable,

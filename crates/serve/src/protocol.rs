@@ -184,9 +184,8 @@ pub enum Reply {
         detail: String,
         /// For retryable rejects ([`ErrorCode::Overloaded`],
         /// [`ErrorCode::QueueFull`]): how long a well-behaved client
-        /// should back off before resubmitting, derived from the
-        /// server's recent queue-wait p99. `null` when retrying is
-        /// pointless or the server has no estimate.
+        /// should back off before resubmitting (the daemon's
+        /// `--shed-retry-ms`). `null` when retrying is pointless.
         retry_after_ms: Option<u64>,
     },
     /// Answer to a [`RequestBody::Stats`] request: the server's live
@@ -231,9 +230,8 @@ pub enum ErrorCode {
     /// The job sat queued past its `deadline_ms`; it was dropped
     /// without burning a worker. Resubmitting starts a fresh budget.
     DeadlineExceeded,
-    /// Admission control shed the job: queue depth or recent queue-wait
-    /// p99 is over the configured threshold. Retry after the reply's
-    /// `retry_after_ms`.
+    /// Admission control shed the job: the queue is at the configured
+    /// `--shed-depth`. Retry after the reply's `retry_after_ms`.
     Overloaded,
 }
 

@@ -8,11 +8,10 @@
 //!
 //! Shutdown is a drain: [`FairQueue::close`] stops admission while
 //! [`FairQueue::pop`] keeps delivering until the queue is empty, then
-//! reports [`Pop::Closed`] so workers exit.
+//! returns `None` so workers exit.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,17 +19,6 @@ pub enum PushError {
     /// The queue is at capacity; nothing was enqueued.
     Full,
     /// The queue is closed for shutdown; nothing was enqueued.
-    Closed,
-}
-
-/// What a pop produced.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// The next job, round-robin across clients.
-    Item(T),
-    /// Nothing arrived within the timeout; check shutdown and retry.
-    TimedOut,
-    /// The queue is closed *and* drained; the worker should exit.
     Closed,
 }
 
@@ -116,8 +104,9 @@ impl<T> FairQueue<T> {
 
     /// Dequeues the next job, rotating across clients: the serving
     /// client's queue moves to the back of the rotation (or leaves it
-    /// when emptied). Waits up to `wait` for work.
-    pub fn pop(&self, wait: Duration) -> Pop<T> {
+    /// when emptied). Blocks until there is work; `None` once the queue
+    /// is closed *and* drained, so the worker should exit.
+    pub fn pop(&self) -> Option<T> {
         let mut s = self.lock_state();
         loop {
             if s.len > 0 {
@@ -127,24 +116,17 @@ impl<T> FairQueue<T> {
                     s.queues.push_back((client, q));
                 }
                 s.len -= 1;
-                return Pop::Item(item);
+                return Some(item);
             }
             if s.closed {
-                return Pop::Closed;
+                return None;
             }
-            let (next, timeout) = self
-                .cond
-                .wait_timeout(s, wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            s = next;
-            if timeout.timed_out() && s.len == 0 && !s.closed {
-                return Pop::TimedOut;
-            }
+            s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes admission: pushes refuse from now on, pops drain what is
-    /// queued and then report [`Pop::Closed`].
+    /// queued and then return `None`.
     pub fn close(&self) {
         self.lock_state().closed = true;
         self.cond.notify_all();
@@ -168,8 +150,7 @@ impl<T> FairQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    const WAIT: Duration = Duration::from_millis(10);
+    use std::time::Duration;
 
     #[test]
     fn round_robins_across_clients() {
@@ -181,11 +162,9 @@ mod tests {
         for i in 0..2 {
             q.push(2, (2, i)).unwrap();
         }
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| match q.pop(WAIT) {
-            Pop::Item(x) => Some(x),
-            _ => None,
-        })
-        .collect();
+        // Closed, so the drain ends at the last item instead of blocking.
+        q.close();
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)]);
     }
 
@@ -197,7 +176,7 @@ mod tests {
         assert_eq!(q.push(1, "c"), Err(PushError::Full));
         assert_eq!(q.len(), 2, "the rejected job was not enqueued");
         // Freeing a slot re-admits.
-        assert!(matches!(q.pop(WAIT), Pop::Item("a")));
+        assert_eq!(q.pop(), Some("a"));
         q.push(1, "c").unwrap();
     }
 
@@ -208,25 +187,19 @@ mod tests {
         q.push(1, 11).unwrap();
         q.close();
         assert_eq!(q.push(1, 12), Err(PushError::Closed));
-        assert!(matches!(q.pop(WAIT), Pop::Item(10)));
-        assert!(matches!(q.pop(WAIT), Pop::Item(11)));
-        assert!(matches!(q.pop(WAIT), Pop::Closed));
+        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.pop(), Some(11));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_wakes_on_push_from_another_thread() {
         let q = Arc::new(FairQueue::new(4));
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop(Duration::from_secs(5)));
+        let t = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.push(7, 99).unwrap();
-        assert!(matches!(t.join().unwrap(), Pop::Item(99)));
-    }
-
-    #[test]
-    fn empty_pop_times_out() {
-        let q: FairQueue<u8> = FairQueue::new(1);
-        assert!(matches!(q.pop(Duration::from_millis(5)), Pop::TimedOut));
+        assert_eq!(t.join().unwrap(), Some(99));
     }
 
     #[test]
@@ -244,9 +217,9 @@ mod tests {
         // Every path still works: the state was consistent at the panic.
         assert_eq!(q.len(), 1);
         q.push(2, 8).unwrap();
-        assert!(matches!(q.pop(WAIT), Pop::Item(7)));
-        assert!(matches!(q.pop(WAIT), Pop::Item(8)));
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), Some(8));
         q.close();
-        assert!(matches!(q.pop(WAIT), Pop::Closed));
+        assert_eq!(q.pop(), None);
     }
 }

@@ -28,21 +28,19 @@ use crate::metrics;
 use crate::protocol::{
     decode_request, reply_line, ErrorCode, Reply, RequestBody, PROTOCOL_VERSION,
 };
-use crate::queue::{FairQueue, Pop, PushError};
-use crate::shed::Shed;
+use crate::queue::{FairQueue, PushError};
 use crate::store::{Begin, CounterSnapshot, ResultStore, Sub};
-use mg_bench::{machine_fingerprint, shutdown_requested, BenchContext, BenchError, Journal};
+use mg_bench::{machine_fingerprint, shutdown_requested, BenchError, Journal};
 use mg_obs::mg_error;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked loops re-check the shutdown flag.
+/// How often the accept loop re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// One queued unit of work: a validated job under its content key.
@@ -74,7 +72,6 @@ pub struct Server {
     cfg: ServeConfig,
     store: Arc<ResultStore>,
     queue: Arc<FairQueue<QueuedJob>>,
-    shed: Arc<Shed>,
     local_addr: SocketAddr,
 }
 
@@ -88,7 +85,6 @@ impl Server {
             listener,
             queue: Arc::new(FairQueue::new(cfg.queue_cap)),
             store: Arc::new(ResultStore::new()),
-            shed: Arc::new(Shed::new(cfg.shed_config())),
             cfg,
             local_addr,
         })
@@ -118,11 +114,10 @@ impl Server {
             .map(|w| {
                 let queue = Arc::clone(&self.queue);
                 let store = Arc::clone(&self.store);
-                let shed = Arc::clone(&self.shed);
                 let cfg = self.cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("mg-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&queue, &store, &shed, &cfg))
+                    .spawn(move || worker_loop(&queue, &store, &cfg))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -141,7 +136,6 @@ impl Server {
                     let client = client_ids.fetch_add(1, Ordering::Relaxed);
                     let store = Arc::clone(&self.store);
                     let queue = Arc::clone(&self.queue);
-                    let shed = Arc::clone(&self.shed);
                     let cfg = self.cfg.clone();
                     let drained = Arc::clone(&drained);
                     // Handles of finished connections are dropped as
@@ -151,7 +145,7 @@ impl Server {
                     let conn = std::thread::Builder::new()
                         .name(format!("mg-serve-conn-{client}"))
                         .spawn(move || {
-                            serve_connection(stream, client, &store, &queue, &shed, &cfg, &drained)
+                            serve_connection(stream, client, &store, &queue, &cfg, &drained)
                         });
                     if let Ok(conn) = conn {
                         conns.push(conn);
@@ -186,46 +180,40 @@ impl Server {
     }
 }
 
-fn worker_loop(queue: &FairQueue<QueuedJob>, store: &ResultStore, shed: &Shed, cfg: &ServeConfig) {
-    loop {
-        match queue.pop(POLL) {
-            Pop::Item(job) => {
-                mg_obs::tele_gauge!(metrics::QUEUE_DEPTH).dec();
-                let waited = job.queued_at.elapsed();
-                mg_obs::tele_hist!(metrics::QUEUE_WAIT_US).record_duration(waited);
-                shed.record_wait(waited);
-                mg_obs::tele_gauge!(metrics::SHED_WAIT_P99_US)
-                    .set(i64::try_from(shed.recent_wait_p99().as_micros()).unwrap_or(i64::MAX));
-                if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                    // The job out-sat its budget in the queue; drop it
-                    // without burning the worker. The client retries
-                    // with a fresh budget if it still cares.
-                    mg_obs::tele_counter!(metrics::DEADLINE_DROPS).inc();
-                    store.abort(
-                        job.key,
-                        ErrorCode::DeadlineExceeded,
-                        &format!(
-                            "job waited {}ms in queue, past its deadline",
-                            waited.as_millis()
-                        ),
-                        None,
-                    );
-                    continue;
-                }
-                let busy = Instant::now();
-                run_job(job, store, cfg);
-                mg_obs::tele_counter!(metrics::WORKER_BUSY_US)
-                    .add(u64::try_from(busy.elapsed().as_micros()).unwrap_or(u64::MAX));
-            }
-            Pop::TimedOut => continue,
-            Pop::Closed => return,
+fn worker_loop(queue: &FairQueue<QueuedJob>, store: &ResultStore, cfg: &ServeConfig) {
+    while let Some(job) = queue.pop() {
+        mg_obs::tele_gauge!(metrics::QUEUE_DEPTH).dec();
+        let waited = job.queued_at.elapsed();
+        mg_obs::tele_hist!(metrics::QUEUE_WAIT_US).record_duration(waited);
+        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+            // The job out-sat its budget in the queue; drop it without
+            // burning the worker. The client retries with a fresh
+            // budget if it still cares.
+            mg_obs::tele_counter!(metrics::DEADLINE_DROPS).inc();
+            store.abort(
+                job.key,
+                ErrorCode::DeadlineExceeded,
+                &format!(
+                    "job waited {}ms in queue, past its deadline",
+                    waited.as_millis()
+                ),
+                None,
+            );
+            continue;
         }
+        let busy = Instant::now();
+        run_job(job, store, cfg);
+        mg_obs::tele_counter!(metrics::WORKER_BUSY_US)
+            .add(u64::try_from(busy.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
 }
 
 /// Runs one job to completion: context build (shared through the
-/// process-wide cache), then one supervised cell at a time, each
-/// committed to the store the moment it finishes.
+/// process-wide cache, supervised exactly as a batch sweep's — see
+/// [`mg_bench::build_context`]), then one supervised cell at a time,
+/// each committed to the store the moment it finishes. A job claimed
+/// after shutdown was requested builds nothing: every cell reports
+/// `Interrupted`.
 ///
 /// With a journal directory configured, every finished cell is
 /// journaled *before* it is streamed (so any row a client ever saw is
@@ -246,36 +234,17 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
         store.finish(key);
         mg_obs::tele_hist!(metrics::JOB_US).record_duration(job.queued_at.elapsed());
     };
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        BenchContext::builder(&spec.bench, &spec.train_cfg)
-            .disk_cache(cfg.disk_cache)
-            .build()
-    }));
-    let ctx = match built {
-        Ok(Ok(ctx)) => Arc::new(ctx),
-        Ok(Err(e)) => {
+    let ctx = match mg_bench::build_context(
+        &spec.bench,
+        &spec.train_cfg,
+        spec.bench.primary_input(),
+        spec.bench.primary_input(),
+        cfg.disk_cache,
+    ) {
+        Ok(ctx) => ctx,
+        Err(e) => {
             for cell in 0..spec.cells.len() {
                 store.commit_row(job.key, cell, Err(e.clone()));
-            }
-            finish(job.key);
-            return;
-        }
-        Err(payload) => {
-            let rendered = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            for cell in 0..spec.cells.len() {
-                store.commit_row(
-                    job.key,
-                    cell,
-                    Err(mg_bench::BenchError::Panicked {
-                        bench: spec.bench.name.clone(),
-                        cell,
-                        payload: rendered.clone(),
-                    }),
-                );
             }
             finish(job.key);
             return;
@@ -290,14 +259,7 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
             continue;
         }
         let started = Instant::now();
-        let (res, _retries) = mg_bench::supervise_cell_until(
-            &ctx,
-            cell,
-            idx,
-            cfg.watchdog,
-            cfg.retries,
-            job.deadline,
-        );
+        let res = mg_bench::supervise_cell(&ctx, cell, idx, cfg.retries, job.deadline);
         if let Some(j) = &journal {
             if !matches!(
                 res,
@@ -321,7 +283,6 @@ fn serve_connection(
     client: u64,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
     drained: &AtomicBool,
 ) {
@@ -360,7 +321,7 @@ fn serve_connection(
         protocol: PROTOCOL_VERSION,
         fingerprint: machine_fingerprint(),
     }));
-    read_requests(stream, client, &tx, store, queue, shed, cfg, drained);
+    read_requests(stream, client, &tx, store, queue, cfg, drained);
     // Dropping `tx` does not end the writer by itself: the store may
     // still hold subscription clones streaming rows for this client's
     // jobs. The writer ends once the last of them is gone, having
@@ -380,7 +341,6 @@ fn read_requests(
     tx: &Sender<String>,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
     drained: &AtomicBool,
 ) {
@@ -394,7 +354,7 @@ fn read_requests(
                 let was_discarding = discarding;
                 discarding = false;
                 if !was_discarding && !overlong_reject(&buf, tx, cfg) {
-                    handle_line(buf.trim(), client, tx, store, queue, shed, cfg);
+                    handle_line(buf.trim(), client, tx, store, queue, cfg);
                 }
                 buf.clear();
             }
@@ -440,7 +400,6 @@ fn handle_line(
     tx: &Sender<String>,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
 ) {
     if line.is_empty() {
@@ -490,16 +449,20 @@ fn handle_line(
         resume_from: job.resume_from,
     };
     if store.subscribe(key, sub) == Begin::Owner {
-        // Admission control applies to owners only: coalescing onto an
+        let retry_after_ms = u64::try_from(cfg.shed_retry_after.as_millis())
+            .unwrap_or(u64::MAX)
+            .max(1);
+        // Load shedding applies to owners only: coalescing onto an
         // in-flight execution or replaying a finished one adds no queue
         // load, so those are never shed.
-        if let Err(over) = shed.admit(queue.len()) {
+        let depth = queue.len();
+        if let Some(limit) = cfg.shed_depth.filter(|&limit| depth >= limit) {
             mg_obs::tele_counter!(metrics::SHED_JOBS).inc();
             return store.abort(
                 key,
                 ErrorCode::Overloaded,
-                &over.detail,
-                Some(over.retry_after_ms),
+                &format!("queue depth {depth} at the {limit}-job shed threshold"),
+                Some(retry_after_ms),
             );
         }
         let deadline = job.deadline.map(|d| Instant::now() + d);
@@ -520,11 +483,7 @@ fn handle_line(
                 key,
                 ErrorCode::QueueFull,
                 &format!("job queue is at its {}-job capacity", queue.cap()),
-                Some(
-                    u64::try_from(cfg.shed_retry_after.as_millis())
-                        .unwrap_or(u64::MAX)
-                        .max(1),
-                ),
+                Some(retry_after_ms),
             ),
             Err(PushError::Closed) => {
                 store.abort(key, ErrorCode::ShuttingDown, "server is draining", None)

@@ -370,6 +370,62 @@ fn depth_shedding_rejects_owners_but_never_dedup_traffic() {
 }
 
 #[test]
+fn jobs_claimed_during_drain_build_nothing_and_stream_interrupted() {
+    // One worker: a slow job occupies it while a second, distinct job
+    // waits in the queue when the drain starts.
+    let cfg = ServeConfig {
+        workers: 1,
+        ..tiny_cfg()
+    };
+    let server = TestServer::start(cfg);
+    let before = mg_bench::cache::counters();
+
+    let mut a = connect(&server.addr);
+    let mut slow = request("slow", 400_000);
+    slow.schemes.push("Slack-Dynamic".into());
+    slow.machines.push("8way".into());
+    a.submit(&slow).unwrap();
+    assert!(matches!(a.read_reply().unwrap(), Reply::Accepted { id, .. } if id == "slow"));
+    // Its first row means the worker has claimed it and built its
+    // context; five more cells keep the worker busy.
+    match a.read_reply().unwrap() {
+        Reply::Row { id, .. } | Reply::CellError { id, .. } => assert_eq!(id, "slow"),
+        other => panic!("expected the slow job's first row, got {other:?}"),
+    }
+
+    let mut b = connect(&server.addr);
+    b.submit(&request("queued", 3_500)).unwrap();
+    assert!(matches!(b.read_reply().unwrap(), Reply::Accepted { id, .. } if id == "queued"));
+    // Stats is answered after the job line, so the job is queued by now.
+    assert_eq!(b.stats("depth").unwrap().queue_depth, 1);
+
+    mg_bench::request_shutdown();
+    let queued = b.collect("queued").unwrap();
+    assert!(
+        queued.completed(),
+        "streamed to Done: {:?}",
+        queued.rejected
+    );
+    assert_eq!(queued.rows.len(), 2, "one row per cell");
+    for (cell, row) in &queued.rows {
+        assert!(
+            matches!(row, Err(mg_bench::BenchError::Interrupted { .. })),
+            "cell {cell}: {row:?}"
+        );
+    }
+    let slow = a.collect("slow").unwrap();
+    assert!(slow.completed(), "rejected: {:?}", slow.rejected);
+
+    let delta = mg_bench::cache::counters().since(&before);
+    assert_eq!(
+        delta.total(),
+        1,
+        "only the slow job's context was built: {delta:?}"
+    );
+    server.stop();
+}
+
+#[test]
 fn resumed_requests_replay_only_the_missing_rows() {
     let server = TestServer::start(tiny_cfg());
 

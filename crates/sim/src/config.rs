@@ -334,6 +334,20 @@ impl MachineConfig {
         }
     }
 
+    /// Resolves a machine tag: `baseline`/`base`/`4way`,
+    /// `reduced`/`red`/`3way`, `2way`, `8way` or `dmem4`, trimmed and
+    /// case-insensitive. `None` for anything else.
+    pub fn from_tag(tag: &str) -> Option<MachineConfig> {
+        match tag.trim().to_ascii_lowercase().as_str() {
+            "baseline" | "base" | "4way" => Some(MachineConfig::baseline()),
+            "reduced" | "red" | "3way" => Some(MachineConfig::reduced()),
+            "2way" => Some(MachineConfig::two_way()),
+            "8way" => Some(MachineConfig::eight_way()),
+            "dmem4" => Some(MachineConfig::reduced_dmem4()),
+            _ => None,
+        }
+    }
+
     /// Returns a copy with mini-graph support enabled.
     pub fn with_mg(mut self, mg: MgConfig) -> MachineConfig {
         self.mg = mg;
@@ -369,6 +383,27 @@ mod tests {
         ] {
             assert!(cfg.is_valid(), "{} invalid", cfg.name);
         }
+    }
+
+    #[test]
+    fn every_tag_alias_resolves_to_its_preset() {
+        let cases = [
+            ("baseline", MachineConfig::baseline()),
+            ("base", MachineConfig::baseline()),
+            ("4way", MachineConfig::baseline()),
+            ("reduced", MachineConfig::reduced()),
+            ("red", MachineConfig::reduced()),
+            ("3way", MachineConfig::reduced()),
+            ("2way", MachineConfig::two_way()),
+            ("8way", MachineConfig::eight_way()),
+            ("dmem4", MachineConfig::reduced_dmem4()),
+            (" Reduced ", MachineConfig::reduced()),
+            ("8WAY", MachineConfig::eight_way()),
+        ];
+        for (tag, want) in cases {
+            assert_eq!(MachineConfig::from_tag(tag), Some(want), "tag {tag:?}");
+        }
+        assert_eq!(MachineConfig::from_tag("11way"), None);
     }
 
     #[test]

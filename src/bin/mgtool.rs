@@ -8,7 +8,8 @@
 //! mgtool select <bench> [selector]    select, embed, and evaluate mini-graphs
 //! ```
 //!
-//! Machines: `baseline`, `reduced`, `2way`, `8way`, `dmem4`.
+//! Machines: any [`MachineConfig::from_tag`] tag (`baseline`, `reduced`,
+//! `2way`, `8way`, `dmem4`, ...).
 //! Selectors: `struct-all`, `struct-none`, `struct-bounded`,
 //! `slack-profile`, `slack-profile-mem`.
 
@@ -19,17 +20,6 @@ use minigraphs::core::select::{Selector, SlackProfileModel};
 use minigraphs::sim::{simulate, MachineConfig, MgConfig, SimOptions};
 use minigraphs::workloads::{benchmark, suite, Executor};
 use std::process::ExitCode;
-
-fn machine(name: &str) -> Option<MachineConfig> {
-    Some(match name {
-        "baseline" | "4way" => MachineConfig::baseline(),
-        "reduced" | "3way" => MachineConfig::reduced(),
-        "2way" => MachineConfig::two_way(),
-        "8way" => MachineConfig::eight_way(),
-        "dmem4" => MachineConfig::reduced_dmem4(),
-        _ => return None,
-    })
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,7 +91,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let spec = spec_of(args)?;
     let mname = args.get(1).map(String::as_str).unwrap_or("baseline");
-    let m = machine(mname).ok_or_else(|| format!("unknown machine {mname}"))?;
+    let m = MachineConfig::from_tag(mname).ok_or_else(|| format!("unknown machine {mname}"))?;
     let w = spec.generate();
     let (trace, _) = Executor::new(&w.program)
         .run_with_mem(&w.init_mem)
