@@ -15,6 +15,7 @@
 //! formatting.
 
 use crate::cache::stable_hash64;
+use crate::figures::Fig1Row;
 use crate::harness::{BenchContext, Scheme};
 use crate::runner::par_map;
 use mg_sim::MachineConfig;
@@ -53,19 +54,9 @@ pub struct GoldenRow {
     /// Per-cell digests in fixed cell order.
     pub cells: Vec<GoldenCell>,
     /// The benchmark's fig1 row (IPC ratios vs. the baseline machine)
-    /// serialized exactly as `fig1` writes it, or `ERROR: …`.
+    /// serialized exactly as [`crate::figures::fig1`] writes it, or
+    /// `ERROR: …`.
     pub fig1_json: String,
-}
-
-/// Fig1-row shape, duplicated here so the golden digest pins the JSON
-/// encoding the figure binaries emit.
-#[derive(Serialize)]
-struct Fig1Row {
-    bench: String,
-    nomg: f64,
-    struct_all: f64,
-    struct_none: f64,
-    slack_profile: f64,
 }
 
 /// The golden cell list: the fig1 sweep (NoMg on both machines plus the

@@ -245,15 +245,14 @@ impl std::error::Error for BenchError {}
 
 /// Configures and builds a [`BenchContext`].
 ///
-/// Defaults: train and run on the benchmark's primary input, the default
-/// [`SelectionConfig`], context caching on (memory + disk).
+/// Defaults: train and run on the benchmark's primary input, context
+/// caching on (memory + disk).
 #[derive(Clone, Debug)]
 pub struct BenchContextBuilder {
     spec: BenchmarkSpec,
     train_cfg: MachineConfig,
     train_input: Option<InputSet>,
     run_input: Option<InputSet>,
-    sel_cfg: SelectionConfig,
     cache: bool,
     disk_cache: bool,
 }
@@ -269,12 +268,6 @@ impl BenchContextBuilder {
     /// primary input).
     pub fn run_input(mut self, input: InputSet) -> BenchContextBuilder {
         self.run_input = Some(input);
-        self
-    }
-
-    /// The selection configuration (ablations).
-    pub fn selection_config(mut self, cfg: SelectionConfig) -> BenchContextBuilder {
-        self.sel_cfg = cfg;
         self
     }
 
@@ -326,7 +319,6 @@ impl BenchContextBuilder {
             trace,
             freqs,
             slack,
-            sel_cfg: self.sel_cfg,
             cache_outcome,
         })
     }
@@ -345,7 +337,6 @@ pub struct BenchContext {
     pub freqs: Vec<u64>,
     /// Local slack profile (self-trained unless overridden).
     pub slack: mg_sim::SlackProfile,
-    sel_cfg: SelectionConfig,
     cache_outcome: CacheOutcome,
 }
 
@@ -358,7 +349,6 @@ impl BenchContext {
             train_cfg: train_cfg.clone(),
             train_input: None,
             run_input: None,
-            sel_cfg: SelectionConfig::default(),
             cache: true,
             disk_cache: true,
         }
@@ -377,16 +367,6 @@ impl BenchContext {
     /// built with caching disabled reports a miss).
     pub fn cache_outcome(&self) -> CacheOutcome {
         self.cache_outcome
-    }
-
-    /// The selection configuration in use.
-    pub fn selection_config(&self) -> &SelectionConfig {
-        &self.sel_cfg
-    }
-
-    /// Overrides the selection configuration (ablations).
-    pub fn set_selection_config(&mut self, cfg: SelectionConfig) {
-        self.sel_cfg = cfg;
     }
 
     fn selector_for(&self, scheme: Scheme) -> Option<Selector> {
@@ -429,7 +409,7 @@ impl BenchContext {
 
     /// Runs one scheme on one machine with optional overrides for the
     /// mini-graph hardware (default [`MgConfig::paper`]) and the
-    /// selection configuration (default: the context's).
+    /// selection configuration (default [`SelectionConfig::default`]).
     pub fn try_run_with(
         &self,
         scheme: Scheme,
@@ -485,7 +465,7 @@ impl BenchContext {
                     &self.workload.program,
                     &self.freqs,
                     &selector,
-                    sel.unwrap_or(&self.sel_cfg),
+                    &sel.copied().unwrap_or_default(),
                 )
                 .map_err(|e| BenchError::Rewrite {
                     bench: self.spec.name.clone(),

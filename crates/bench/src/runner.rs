@@ -51,7 +51,8 @@ pub struct SweepCell {
     pub machine: MachineConfig,
     /// Mini-graph hardware override (default: [`MgConfig::paper`]).
     pub mg: Option<MgConfig>,
-    /// Selection-configuration override (default: the context's).
+    /// Selection-configuration override (default:
+    /// [`SelectionConfig::default`]).
     pub sel: Option<SelectionConfig>,
 }
 

@@ -1,16 +1,4 @@
-//! Summary statistics shared by the figure binaries.
-//!
-//! These used to live in [`crate::harness`]; they are re-exported at the
-//! old paths (`mg_bench::{geomean, mean, s_curve}`) for compatibility.
-
-/// Geometric mean of a non-empty slice of positive values.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (sum / values.len() as f64).exp()
-}
+//! Summary statistics shared by the figure views.
 
 /// Arithmetic mean.
 pub fn mean(values: &[f64]) -> f64 {
@@ -32,10 +20,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn geomean_and_mean() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+    fn mean_averages() {
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that touches them serializes on [`LOCK`].
 
 use mg_bench::cache;
-use mg_bench::figures::{fig6_rows, fig6_spec};
+use mg_bench::figures::{fig6, paper_spec};
 use mg_bench::{Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
@@ -20,16 +20,16 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn parallel_fig6_json_is_byte_identical_to_serial() {
     let _guard = LOCK.lock().unwrap();
     let parallel = {
-        let result = fig6_spec(6).jobs(4).disk_cache(false).quiet(true).run();
-        let (rows, failures) = fig6_rows(&result);
-        assert!(failures.is_empty(), "failures: {failures:?}");
-        serde_json::to_string_pretty(&rows).unwrap()
+        let result = paper_spec(6).jobs(4).disk_cache(false).quiet(true).run();
+        let view = fig6(&result);
+        assert!(view.skipped.is_empty(), "skipped: {:?}", view.skipped);
+        serde_json::to_string_pretty(&view.rows).unwrap()
     };
     let serial = {
-        let result = fig6_spec(6).jobs(1).disk_cache(false).quiet(true).run();
-        let (rows, failures) = fig6_rows(&result);
-        assert!(failures.is_empty(), "failures: {failures:?}");
-        serde_json::to_string_pretty(&rows).unwrap()
+        let result = paper_spec(6).jobs(1).disk_cache(false).quiet(true).run();
+        let view = fig6(&result);
+        assert!(view.skipped.is_empty(), "skipped: {:?}", view.skipped);
+        serde_json::to_string_pretty(&view.rows).unwrap()
     };
     assert_eq!(parallel, serial);
 }
