@@ -1,6 +1,9 @@
 //! Engine-throughput harness: measures simulator cycles/second on the
 //! fig1 reduced-machine sweep and writes `results/BENCH_engine.json`,
-//! the repo's performance-trajectory record (uploaded as a CI artifact).
+//! the repo's performance-trajectory record (uploaded as a CI artifact),
+//! naming the host it was measured on: a throughput is only comparable
+//! with one measured on the same host, which is how CI's perf gate runs
+//! base and head.
 //!
 //! Usage: `perf [N] [TARGET_DYN]` — sweep the first `N` benchmarks
 //! (default: all 78) truncated to `TARGET_DYN` dynamic instructions
@@ -99,10 +102,22 @@ struct ObsPerf {
     conservation_ok: bool,
 }
 
+/// The host measured on: the first `model name` of `/proc/cpuinfo` and
+/// the logical CPU count.
+fn host() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = info
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'));
+    let model = model.map_or("unknown CPU", |(_, m)| m.trim());
+    format!("{model}, {} vCPUs", mg_bench::config::available_jobs())
+}
+
 #[derive(Serialize)]
 struct PerfReport {
     schema_version: u32,
     machine_fingerprint: String,
+    host: String,
     benches: usize,
     target_dyn: usize,
     repeats: usize,
@@ -325,6 +340,7 @@ fn main() {
     let report = PerfReport {
         schema_version: SCHEMA_VERSION,
         machine_fingerprint: machine_fingerprint(),
+        host: host(),
         benches: prepared.len(),
         target_dyn,
         repeats: REPEATS,

@@ -55,7 +55,7 @@ pub const LOG_ENV: &str = "MG_LOG";
 /// collection (`mg_obs::span`). When on,
 /// [`crate::supervisor::run_cli`] drains the collected spans to
 /// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record)
-/// at sweep exit; `export_json` renders its Chrome trace-event JSON
+/// after its last sweep; `export_json` renders its Chrome trace-event JSON
 /// view for Perfetto.
 pub const TRACE_ENV: &str = "MG_TRACE";
 

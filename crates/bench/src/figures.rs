@@ -1,22 +1,36 @@
-//! The paper sweep and the figures drawn from it.
+//! The sweeps `reproduce` runs and the results drawn from them.
 //!
 //! Every published figure that trains on the reduced machine with
 //! primary inputs reads cells of one grid. [`PAPER_CELLS`] lists its 19
-//! distinct (scheme, machine) pairs, [`paper_spec`] sweeps them once, and
-//! each view below ([`table1`], [`fig1`], [`fig3`], [`fig6`], [`fig7`],
-//! [`ext_memaware`], [`calib`]) is a pure function of that sweep's
-//! result: it returns the text the `reproduce` binary prints and writes
-//! to `results/<name>.txt`, plus the rows it writes to
-//! `results/<name>.json`. Views look cells up by (scheme, machine) and
-//! skip a benchmark only when one of the cells *they* read failed.
+//! distinct (scheme, machine) pairs and [`paper_spec`] sweeps them once.
+//! [`sweeps`] adds what that grid cannot hold: Figure 9's four
+//! cross-training sweeps and the ablation sweep, which carries only its
+//! non-default variants.
+//!
+//! Each view below ([`table1`], [`fig1`], [`fig3`], [`fig6`], [`fig7`],
+//! [`ext_memaware`], [`calib`], [`fig9`], [`ablation`]) is a pure
+//! function of those sweeps' results: it returns the text the
+//! `reproduce` binary prints and writes to `results/<name>.txt`, plus
+//! the rows it writes to `results/<name>.json`. Views look paper cells
+//! up by (scheme, machine), join the other sweeps' rows to them by
+//! benchmark, and skip a benchmark only when one of the cells *they*
+//! read failed. [`fig8`], the limit study, is the one view that runs its
+//! own simulations: 1024 subsets of one benchmark's candidates.
 
 use crate::harness::{BenchError, Scheme, SchemeRun};
-use crate::runner::{BenchRows, SweepCell, SweepResult, SweepSpec};
+use crate::runner::{par_map, BenchRows, InputSel, SweepCell, SweepResult, SweepSpec};
 use crate::stats::{mean, s_curve};
+use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
+use mg_core::classify::{classify, Serialization};
+use mg_core::depgraph::{schedule_with_groups, BlockDeps};
+use mg_core::pipeline::profile_workload;
+use mg_core::rewrite::{rewrite, ChosenInstance};
+use mg_core::select::{slack_profile_admits, SlackProfileModel};
 use mg_sim::config::rename_regs;
-use mg_sim::{MachineConfig, MgConfig};
-use mg_workloads::suite;
+use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions};
+use mg_workloads::{limit_study_benchmark, BenchmarkSpec, Executor, Suite};
 use serde::Serialize;
+use std::collections::HashMap;
 use std::fmt::Write;
 use Machine::{Base, Reduced};
 use Scheme::*;
@@ -64,12 +78,11 @@ pub const PAPER_CELLS: [(Scheme, Machine); 19] = [
     (SlackProfileMem, Base),
 ];
 
-/// The paper sweep over the first `take` benchmarks of the suite: every
-/// [`PAPER_CELLS`] cell, trained on the reduced machine with primary
-/// inputs.
-pub fn paper_spec(take: usize) -> SweepSpec {
+/// The paper sweep over `benches`: every [`PAPER_CELLS`] cell, trained
+/// on the reduced machine with primary inputs.
+pub fn paper_spec(benches: &[BenchmarkSpec]) -> SweepSpec {
     SweepSpec::new(&Reduced.config())
-        .benches(suite().iter().take(take).cloned())
+        .benches(benches.iter().cloned())
         .cells(
             PAPER_CELLS
                 .iter()
@@ -87,6 +100,95 @@ pub fn paper_cell(scheme: Scheme, machine: Machine) -> usize {
         .iter()
         .position(|&c| c == (scheme, machine))
         .unwrap_or_else(|| panic!("{} on {machine:?} is not a paper cell", scheme.name()))
+}
+
+/// How a Figure 9 sweep trains its slack profiles differently from the
+/// paper sweep (training machine, training input), and the suites it
+/// evaluates.
+type CrossTraining = (fn() -> MachineConfig, InputSel, [Suite; 2]);
+
+/// Figure 9's cross-training: the top panel's three, then the bottom's.
+const CROSS_TRAINING: [CrossTraining; 4] = [
+    (MachineConfig::two_way, InputSel::Primary, MEDIA_COMM),
+    (MachineConfig::eight_way, InputSel::Primary, MEDIA_COMM),
+    (MachineConfig::reduced_dmem4, InputSel::Primary, MEDIA_COMM),
+    (MachineConfig::reduced, InputSel::Alternate, SPEC_MIB),
+];
+const MEDIA_COMM: [Suite; 2] = [Suite::MediaBench, Suite::CommBench];
+const SPEC_MIB: [Suite; 2] = [Suite::SpecInt, Suite::MiBench];
+
+/// How many of the paper sweep's benchmarks, from the first, the
+/// ablations cover: each ablation is one more simulation per benchmark.
+pub const ABLATION_BENCHES: usize = 20;
+
+/// One ablation of the design choices DESIGN.md calls out: (label, MGT
+/// template budget, maximum mini-graph size, internal serialization,
+/// ALU pipelines). The paper's design is (512, 4, on, 2): 4 is the ALU
+/// pipeline depth, and serial constituents are §4.1's design-choice
+/// claim.
+type Ablation = (&'static str, usize, usize, bool, u32);
+
+/// The ablations, in output order.
+const ABLATIONS: [Ablation; 11] = [
+    ("mgt-budget-32", 32, 4, true, 2),
+    ("mgt-budget-128", 128, 4, true, 2),
+    ("mgt-budget-512", 512, 4, true, 2),
+    ("mgt-budget-4096", 4096, 4, true, 2),
+    ("max-size-2", 512, 2, true, 2),
+    ("max-size-3", 512, 3, true, 2),
+    ("max-size-4", 512, 4, true, 2),
+    ("no-internal-serialization", 512, 4, false, 2),
+    ("alu-pipelines-1", 512, 4, true, 1),
+    ("alu-pipelines-2", 512, 4, true, 2),
+    ("alu-pipelines-4", 512, 4, true, 4),
+];
+
+/// An ablation's Slack-Profile cell on the reduced machine, and whether
+/// it is the paper's design, i.e. the paper sweep's cell.
+fn ablation_cell(&(_, budget, size, serial, pipes): &Ablation) -> (SweepCell, bool) {
+    let sel = SelectionConfig {
+        mgt_budget: budget,
+        max_size: size,
+        ..Default::default()
+    };
+    let hw = MgConfig {
+        internal_serialization: serial,
+        max_mg_issue: pipes,
+        max_mem_mg_issue: pipes.div_ceil(2),
+        alu_pipelines: pipes,
+        ..MgConfig::paper()
+    };
+    let cell = SweepCell::new(SlackProfile, &Reduced.config());
+    let paper = sel == SelectionConfig::default() && hw == MgConfig::paper();
+    (cell.with_sel(sel).with_mg(hw), paper)
+}
+
+/// Every sweep `reproduce` runs over `benches`, in order:
+///
+/// 1. the [`paper_spec`];
+/// 2. Figure 9's four cross-training sweeps, each the single cell
+///    Slack-Profile on the reduced machine over the benchmarks of its
+///    suites (the self-trained points are paper cells);
+/// 3. the ablation sweep over the first [`ABLATION_BENCHES`], one cell
+///    per ablation other than the paper's design (the baseline and the
+///    paper-design rows are paper cells).
+pub fn sweeps(benches: &[BenchmarkSpec]) -> Vec<SweepSpec> {
+    let red = Reduced.config();
+    let cross = CROSS_TRAINING.map(|(train, input, suites)| {
+        let benches = benches.iter().filter(|b| suites.contains(&b.suite));
+        SweepSpec::new(&train())
+            .benches(benches.cloned())
+            .train_input(input)
+            .cell(SweepCell::new(SlackProfile, &red))
+    });
+    let ablations = ABLATIONS.iter().map(ablation_cell);
+    let ablation = SweepSpec::new(&red)
+        .benches(benches.iter().take(ABLATION_BENCHES).cloned())
+        .cells(ablations.filter_map(|(cell, paper)| (!paper).then_some(cell)));
+    std::iter::once(paper_spec(benches))
+        .chain(cross)
+        .chain([ablation])
+        .collect()
 }
 
 /// `writeln!` into a `String`, which cannot fail.
@@ -109,16 +211,25 @@ pub struct View<R> {
 }
 
 impl<R> View<Vec<R>> {
-    /// One row per benchmark for which `row` succeeds, and no text yet.
-    /// `row` fails, skipping the benchmark, as soon as it reads a failed
-    /// cell, so a view skips only for the cells it actually reads.
+    /// One row per benchmark of the paper sweep, or of `sweeps` (which
+    /// share a benchmark list drawn from it), for which `row` succeeds,
+    /// and no text yet. `row` reads the benchmark's paper cells and its
+    /// row of each of `sweeps`, and fails, skipping the benchmark, as
+    /// soon as it reads a failed cell, so a view skips only for the
+    /// cells it actually reads.
     fn rows<'a>(
-        result: &'a SweepResult,
-        row: impl Fn(Cells<'a>) -> Result<R, &'a BenchError>,
+        paper: &'a SweepResult,
+        sweeps: &[&'a SweepResult],
+        row: impl Fn(Cells<'a>, &[&'a BenchRows]) -> Result<R, &'a BenchError>,
     ) -> Self {
         let mut view = Self::default();
-        for bench in &result.rows {
-            match row(Cells(bench)) {
+        let benches = sweeps.first().map_or(&paper.rows, |s| &s.rows);
+        for (i, bench) in benches.iter().enumerate() {
+            let cells = (paper.rows.iter())
+                .find(|p| p.bench == bench.bench)
+                .unwrap_or_else(|| panic!("{} is not in the paper sweep", bench.bench));
+            let rows: Vec<&BenchRows> = sweeps.iter().map(|&s| &s.rows[i]).collect();
+            match row(Cells(cells), &rows) {
                 Ok(r) => view.rows.push(r),
                 Err(e) => view.skipped.push(e.clone()),
             }
@@ -144,8 +255,14 @@ impl<'a> Cells<'a> {
     /// IPC relative to no-mg on the baseline machine (read first, so a
     /// benchmark whose every cell failed reports cell 0).
     fn rel(self, scheme: Scheme, machine: Machine) -> Result<f64, &'a BenchError> {
+        self.rel_of(self.run(scheme, machine))
+    }
+
+    /// [`Cells::rel`] of a run from any sweep, e.g. the only cell of a
+    /// cross-training sweep's row.
+    fn rel_of(self, run: Result<&SchemeRun, &'a BenchError>) -> Result<f64, &'a BenchError> {
         let base = self.run(NoMg, Base)?.ipc;
-        Ok(self.run(scheme, machine)?.ipc / base)
+        Ok(run?.ipc / base)
     }
 }
 
@@ -285,7 +402,7 @@ pub struct Fig1Row {
 /// fully-provisioned one, as independent S-curves: `Slack-Profile`
 /// against the two naive selectors and the no-mini-graph line.
 pub fn fig1(result: &SweepResult) -> View<Vec<Fig1Row>> {
-    let mut v = View::rows(result, |c| {
+    let mut v = View::rows(result, &[], |c, _| {
         Ok(Fig1Row {
             bench: c.bench(),
             nomg: c.rel(NoMg, Reduced)?,
@@ -350,7 +467,7 @@ pub struct Fig3Row {
 /// on the fully-provisioned processor, where serialization penalties are
 /// exposed. Also reports the pathology counts the paper calls out.
 pub fn fig3(result: &SweepResult) -> View<Vec<Fig3Row>> {
-    let mut v = View::rows(result, |c| {
+    let mut v = View::rows(result, &[], |c, _| {
         Ok(Fig3Row {
             bench: c.bench(),
             nomg_red: c.rel(NoMg, Reduced)?,
@@ -463,7 +580,7 @@ type Fig6Field = fn(&Fig6PerScheme) -> f64;
 /// fully-provisioned baseline. Middle: performance on the
 /// fully-provisioned processor. Bottom: dynamic coverage.
 pub fn fig6(result: &SweepResult) -> View<Vec<Fig6Row>> {
-    let mut v = View::rows(result, |c| {
+    let mut v = View::rows(result, &[], |c, _| {
         Ok(Fig6Row {
             bench: c.bench(),
             nomg_red: c.rel(NoMg, Reduced)?,
@@ -576,7 +693,7 @@ pub struct Fig7Row {
 /// Slack-Dynamic, realistic vs `Ideal` (no outlining penalty) vs
 /// `Ideal-Delay` (no consumer condition) vs `Ideal-SIAL`.
 pub fn fig7(result: &SweepResult) -> View<Vec<Fig7Row>> {
-    let mut v = View::rows(result, |c| {
+    let mut v = View::rows(result, &[], |c, _| {
         let panel = |schemes: &[Scheme]| {
             schemes
                 .iter()
@@ -679,7 +796,7 @@ pub struct ExtMemawareRow {
 /// per-static latencies from the profile; this view compares it with the
 /// stock model and reports the memory-bound benchmarks separately.
 pub fn ext_memaware(result: &SweepResult) -> View<Vec<ExtMemawareRow>> {
-    let mut v = View::rows(result, |c| {
+    let mut v = View::rows(result, &[], |c, _| {
         // `sp_red` first: its `rel` reads the baseline cell before any other.
         Ok(ExtMemawareRow {
             bench: c.bench(),
@@ -769,5 +886,332 @@ pub fn calib(result: &SweepResult) -> View<()> {
         text: t,
         rows: (),
         skipped,
+    }
+}
+
+/// One subset of the limit study's candidates and where it lands.
+#[derive(Clone, Debug, Serialize)]
+pub struct Fig8Point {
+    /// Bit `i` set when candidate `i` is in the subset.
+    pub mask: u16,
+    /// Dynamic coverage on the reduced machine.
+    pub coverage: f64,
+    /// Reduced-machine IPC relative to no-mg on the baseline machine.
+    pub rel_perf: f64,
+}
+
+/// Figure 8: the limit study, on `jobs` workers. All 1024 subsets of the
+/// 10 most frequent non-overlapping mini-graph candidates of the
+/// short-running `adpcm.c` analogue run on the reduced processor. The
+/// text gives the selectors' per-candidate verdicts (the paper's bottom
+/// table), where each static selector's set and the exhaustive best
+/// land, and Slack-Dynamic's own run over all 10 candidates with how
+/// many templates its controller disabled.
+pub fn fig8(jobs: usize) -> View<Vec<Fig8Point>> {
+    let spec = limit_study_benchmark();
+    let (w, red) = (spec.generate(), Reduced.config());
+    let red_mg = red.clone().with_mg(MgConfig::paper());
+    let (trace, freqs, slack) = profile_workload(&w, &red);
+    let base = simulate(&w.program, &trace, &Base.config(), SimOptions::default()).ipc();
+    let id = |c: &Candidate, p: usize| w.program.id_of(c.block, p).index();
+    let freq = |c: &Candidate| freqs[id(c, c.positions[0])];
+
+    // The 10 most frequent non-overlapping (and jointly schedulable)
+    // candidates.
+    let mut pool = enumerate(&w.program, &Default::default());
+    pool.sort_by_key(|c| std::cmp::Reverse((c.len() as u64 - 1) * freq(c)));
+    let mut chosen: Vec<Candidate> = Vec::new();
+    let mut used = vec![false; w.program.static_count()];
+    let mut deps: HashMap<u32, BlockDeps> = HashMap::new();
+    for c in pool {
+        if chosen.len() == 10 {
+            break;
+        }
+        let d = deps
+            .entry(c.block.0)
+            .or_insert_with(|| BlockDeps::build(w.program.block(c.block)));
+        let mut groups: Vec<&[usize]> = (chosen.iter())
+            .filter(|x| x.block == c.block)
+            .map(|x| x.positions.as_slice())
+            .collect();
+        groups.push(&c.positions);
+        if c.positions.iter().any(|&p| used[id(&c, p)])
+            || schedule_with_groups(d, &groups).is_none()
+        {
+            continue;
+        }
+        c.positions.iter().for_each(|&p| used[id(&c, p)] = true);
+        chosen.push(c);
+    }
+    assert_eq!(chosen.len(), 10, "benchmark must yield 10 candidates");
+    // Struct-None's, Struct-Bounded's and Slack-Profile's verdicts.
+    let model = SlackProfileModel::default();
+    let verdicts: Vec<[bool; 3]> = (chosen.iter())
+        .map(|c| {
+            [
+                !c.shape.potentially_serializing(),
+                classify(&c.shape) != Serialization::Unbounded,
+                slack_profile_admits(&w.program, c, &slack, &model),
+            ]
+        })
+        .collect();
+
+    // Every subset is an independent rewrite + functional run +
+    // simulation.
+    let run_subset = |mask: u16, dyn_mg: Option<DynMgConfig>| {
+        let instances: Vec<ChosenInstance> = (0..10)
+            .filter(|&i| mask & (1 << i) != 0)
+            .map(|i| ChosenInstance {
+                candidate: chosen[i].clone(),
+                template: i as u16,
+            })
+            .collect();
+        let prog = rewrite(&w.program, &instances);
+        let (t, _) = (Executor::new(&prog).run_with_mem(&w.init_mem))
+            .expect("a rewritten limit-study program runs to completion");
+        let opts = SimOptions {
+            dyn_mg,
+            ..SimOptions::default()
+        };
+        simulate(&prog, &t, &red_mg, opts)
+    };
+    let masks: Vec<u16> = (0..1024).collect();
+    let points = par_map(&masks, jobs, |_, &mask| {
+        let r = run_subset(mask, None);
+        let (coverage, rel_perf) = (r.stats.coverage(), r.ipc() / base);
+        Fig8Point {
+            mask,
+            coverage,
+            rel_perf,
+        }
+    });
+    // The first subset with the best performance.
+    let by_perf = |a: &&Fig8Point, b: &&Fig8Point| a.rel_perf.total_cmp(&b.rel_perf);
+    let best = points.iter().rev().max_by(by_perf).expect("1024 points");
+    // Slack-Dynamic starts from every candidate and lets its controller
+    // disable templates at run time.
+    let sd = run_subset(0x3ff, Some(DynMgConfig::slack_dynamic()));
+
+    let yes_no = |b, yes, no| if b { yes } else { no };
+    let (name, n) = (&spec.name, trace.len());
+    let mut t = format!("FIGURE 8: limit study on {name} ({n} dynamic instructions)\n");
+    t += "\ncandidate table (0-9, by descending score):\n";
+    t += " id  size   freq    serial?        class |  SN  SB  SP\n";
+    for (i, (c, v)) in chosen.iter().zip(&verdicts).enumerate() {
+        let class = match classify(&c.shape) {
+            Serialization::None => "none",
+            Serialization::Bounded(_) => "bounded",
+            Serialization::Unbounded => "unbounded",
+        };
+        let serial = yes_no(c.shape.potentially_serializing(), "yes", "no");
+        let [sn, sb, sp] = v.map(|ok| yes_no(ok, "y", "-"));
+        let (size, f) = (c.len(), freq(c));
+        out!(
+            t,
+            "{i:>3} {size:>5} {f:>6} {serial:>10} {class:>12} | {sn:>3} {sb:>3} {sp:>3}"
+        );
+    }
+    t += "\nselector positions (coverage, relative performance):\n";
+    let position = |t: &mut String, name: &str, mask: u16| {
+        let p = &points[mask as usize];
+        let ids: Vec<usize> = (0..10).filter(|&i| mask & (1 << i) != 0).collect();
+        let (cov, perf) = (p.coverage, p.rel_perf);
+        out!(t, "  {name:<16} cov {cov:.3}  perf {perf:.3}  set {ids:?}");
+    };
+    position(&mut t, "Struct-All", 0x3ff);
+    let names = ["Struct-None", "Struct-Bounded", "Slack-Profile"];
+    for (k, name) in names.into_iter().enumerate() {
+        let mask = (0..10)
+            .filter(|&i| verdicts[i][k])
+            .fold(0, |m, i| m | (1 << i));
+        position(&mut t, name, mask);
+    }
+    let (cov, perf) = (sd.stats.coverage(), sd.ipc() / base);
+    let off = sd.stats.disabled_templates;
+    out!(
+        t,
+        "  Slack-Dynamic    cov {cov:.3}  perf {perf:.3}  {off} of 10 disabled"
+    );
+    position(&mut t, "Exhaustive-best", best.mask);
+    let perfs = || points.iter().map(|p| p.rel_perf);
+    let lo = perfs().fold(f64::MAX, f64::min);
+    let hi = perfs().fold(f64::MIN, f64::max);
+    out!(t, "\nscatter: 1024 subsets, perf range [{lo:.3}, {hi:.3}]");
+    View {
+        text: t,
+        rows: points,
+        skipped: Vec::new(),
+    }
+}
+
+/// One Media/Comm benchmark row of Figure 9 top: reduced-machine
+/// Slack-Profile IPC relative to no-mg on the baseline machine, by the
+/// machine its slack profile was trained on.
+#[derive(Clone, Debug, Serialize)]
+pub struct Fig9TopRow {
+    /// Benchmark name.
+    pub bench: String,
+    /// Trained on the reduced machine itself.
+    pub self_trained: f64,
+    /// Trained on a 2-way machine.
+    pub cross_2way: f64,
+    /// Trained on an 8-way machine.
+    pub cross_8way: f64,
+    /// Trained on the reduced machine with a quartered data memory
+    /// hierarchy.
+    pub cross_dmem4: f64,
+}
+
+/// One SPEC/MiBench benchmark row of Figure 9 bottom: reduced-machine
+/// Slack-Profile IPC relative to no-mg on the baseline machine, by the
+/// input its slack profile was trained on.
+#[derive(Clone, Debug, Serialize)]
+pub struct Fig9BottomRow {
+    /// Benchmark name.
+    pub bench: String,
+    /// Trained on the evaluation input.
+    pub self_input: f64,
+    /// Trained on the alternate input.
+    pub cross_input: f64,
+}
+
+/// Figure 9's two panels, written to `fig9_top.json` and
+/// `fig9_bottom.json`.
+#[derive(Clone, Debug, Default)]
+pub struct Fig9Rows {
+    /// Microarchitecture sensitivity.
+    pub top: Vec<Fig9TopRow>,
+    /// Input sensitivity.
+    pub bottom: Vec<Fig9BottomRow>,
+}
+
+/// Figure 9: robustness of slack profiles, all evaluated with
+/// Slack-Profile on the reduced machine. Top: microarchitecture
+/// sensitivity of the MediaBench/CommBench programs, trained on the
+/// reduced machine itself (the paper sweep's cell) vs on a 2-way
+/// machine, an 8-way machine, and a machine with a quartered data memory
+/// hierarchy. Bottom: input sensitivity of the SPECint/MiBench
+/// programs, trained on the evaluation input vs the alternate input.
+///
+/// # Panics
+///
+/// If `cross` does not hold the four cross-training results of
+/// [`sweeps`], in its order.
+pub fn fig9(paper: &SweepResult, cross: &[SweepResult]) -> View<Fig9Rows> {
+    let [c2, c8, cd, ci] = cross else {
+        panic!("fig9 reads 4 cross-training sweeps, got {}", cross.len());
+    };
+    let top = View::rows(paper, &[c2, c8, cd], |c, rows| {
+        Ok(Fig9TopRow {
+            bench: c.bench(),
+            self_trained: c.rel(SlackProfile, Reduced)?,
+            cross_2way: c.rel_of(rows[0].get(0))?,
+            cross_8way: c.rel_of(rows[1].get(0))?,
+            cross_dmem4: c.rel_of(rows[2].get(0))?,
+        })
+    });
+    let bottom = View::rows(paper, &[ci], |c, rows| {
+        Ok(Fig9BottomRow {
+            bench: c.bench(),
+            self_input: c.rel(SlackProfile, Reduced)?,
+            cross_input: c.rel_of(rows[0].get(0))?,
+        })
+    });
+
+    let mut t = String::from(
+        "FIGURE 9 TOP: microarchitecture sensitivity (Media+Comm, Slack-Profile on reduced)\n",
+    );
+    let points = |r: &Fig9TopRow| [r.self_trained, r.cross_2way, r.cross_8way, r.cross_dmem4];
+    for r in &top.rows {
+        let [s, c2, c8, cd] = points(r);
+        let b = &r.bench;
+        out!(
+            t,
+            "  {b:<20} self {s:.3}  2way {c2:.3}  8way {c8:.3}  dmem/4 {cd:.3}"
+        );
+    }
+    let [s, c2, c8, cd] = [0, 1, 2, 3].map(|k| mean_of(&top.rows, |r| points(r)[k]));
+    out!(
+        t,
+        "  means: self {s:.3}  2way {c2:.3}  8way {c8:.3}  dmem/4 {cd:.3}  (paper: points lie on the self curve)"
+    );
+    let deviations = |r: &Fig9TopRow| {
+        let [s, cross @ ..] = points(r);
+        cross.map(|v| (v - s).abs())
+    };
+    let max_dev = top.rows.iter().flat_map(deviations).fold(0.0, f64::max);
+    out!(t, "  max |cross - self| deviation: {max_dev:.3}");
+
+    t += "\nFIGURE 9 BOTTOM: input sensitivity (SPEC+MiBench, Slack-Profile on reduced)\n";
+    for r in &bottom.rows {
+        let (b, s, x) = (&r.bench, r.self_input, r.cross_input);
+        out!(t, "  {b:<20} self {s:.3}  cross-input {x:.3}");
+    }
+    let s = mean_of(&bottom.rows, |r| r.self_input);
+    let x = mean_of(&bottom.rows, |r| r.cross_input);
+    let d = (s - x).abs();
+    out!(
+        t,
+        "  means: self {s:.3}  cross {x:.3}  |delta| {d:.3}  (paper: <2% absolute)"
+    );
+    View {
+        text: t,
+        rows: Fig9Rows {
+            top: top.rows,
+            bottom: bottom.rows,
+        },
+        skipped: top.skipped.into_iter().chain(bottom.skipped).collect(),
+    }
+}
+
+/// One ablation variant's means over the ablated benchmarks.
+#[derive(Clone, Debug, Serialize)]
+pub struct AblationRow {
+    /// Variant label, e.g. `mgt-budget-32`.
+    pub name: String,
+    /// Mean reduced-machine IPC relative to no-mg on the baseline
+    /// machine.
+    pub rel_perf: f64,
+    /// Mean dynamic coverage.
+    pub coverage: f64,
+}
+
+/// The ablations (beyond the paper's figures): Slack-Profile on the
+/// reduced machine with one design choice changed per row, averaged
+/// over the ablation sweep's benchmarks. A benchmark is dropped from
+/// every row if any cell the rows read for it failed.
+pub fn ablation(paper: &SweepResult, ablation: &SweepResult) -> View<Vec<AblationRow>> {
+    // Per benchmark, (relative performance, coverage) per ablation.
+    let per_bench = View::rows(paper, &[ablation], |c, rows| {
+        let base = c.run(NoMg, Base)?.ipc;
+        let mut cells = rows[0].runs.iter();
+        let mut run = |ablation| match ablation_cell(ablation).1 {
+            true => c.run(SlackProfile, Reduced),
+            false => cells.next().expect("a cell per ablation").as_ref(),
+        };
+        (ABLATIONS.iter())
+            .map(|a| run(a).map(|r| (r.ipc / base, r.coverage)))
+            .collect::<Result<Vec<_>, _>>()
+    });
+    let benches = &per_bench.rows;
+    let n = ablation.rows.len();
+    let mut t = format!("ABLATIONS (Slack-Profile on the reduced machine, {n} benchmarks)\n");
+    out!(t, "{:<28} {:>10} {:>10}", "variant", "rel-perf", "coverage");
+    let rows = (ABLATIONS.iter().enumerate())
+        .map(|(i, &(name, ..))| {
+            let rel_perf = mean_of(benches, |b| b[i].0);
+            let coverage = mean_of(benches, |b| b[i].1);
+            out!(t, "{name:<28} {rel_perf:>10.3} {coverage:>10.3}");
+            AblationRow {
+                name: name.to_string(),
+                rel_perf,
+                coverage,
+            }
+        })
+        .collect();
+    View {
+        text: t,
+        rows,
+        skipped: per_bench.skipped,
     }
 }

@@ -16,6 +16,7 @@ use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions, SimResu
 use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Version of the JSON results schema written by [`save_json`]. Bump on
 /// any change to row shapes or envelope fields.
@@ -675,8 +676,12 @@ pub fn machine_fingerprint() -> String {
 /// Writes a JSON result file under `results/` at the workspace root,
 /// wrapping `rows` in the versioned [`Envelope`] and creating the
 /// directory if needed. Returns the path written.
-pub fn save_json<T: Serialize>(name: &str, rows: &T) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
+pub fn save_json<T: Serialize>(name: &str, rows: &T) -> PathBuf {
+    save_json_in(Path::new("results"), name, rows)
+}
+
+/// [`save_json`] into `dir` instead of `results/`.
+pub fn save_json_in<T: Serialize>(dir: &Path, name: &str, rows: &T) -> PathBuf {
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{name}.json"));
     let envelope = Envelope {

@@ -1,20 +1,17 @@
 //! Experiment harness regenerating every table and figure of
 //! *"Serialization-Aware Mini-Graphs"* (MICRO 2006).
 //!
-//! The `reproduce` binary regenerates Table 1, Figures 1, 3, 6 and 7,
-//! the miss-aware extension and the calibration summary from one sweep:
-//! [`figures`] holds that sweep's cell grid and one view per output.
-//! Figures 8 and 9 and the ablation keep their own binaries under
-//! `src/bin/`. The shared machinery lives in [`harness`] (benchmark
-//! contexts and scheme runs), [`runner`] (the parallel [`SweepSpec`]
-//! executor), [`supervisor`] (panic isolation, watchdogs, retry, and
-//! graceful shutdown around it), [`config`] (the single typed parse
-//! point for every `MG_*` environment knob), [`journal`] (crash-safe
-//! resume for interrupted sweeps), [`fault`] (deterministic fault
-//! injection behind the `fault-inject` feature), [`cache`]
-//! (content-keyed context memoization), and [`stats`]. See
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record.
+//! The `reproduce` binary regenerates every published result;
+//! [`figures`] holds the sweeps it runs and one view per output. The
+//! shared machinery lives in [`harness`] (benchmark contexts and scheme
+//! runs), [`runner`] (the parallel [`SweepSpec`] executor),
+//! [`supervisor`] (panic isolation, watchdogs, retry, and graceful
+//! shutdown around it), [`config`] (the single typed parse point for
+//! every `MG_*` environment knob), [`journal`] (crash-safe resume for
+//! interrupted sweeps), [`fault`] (deterministic fault injection behind
+//! the `fault-inject` feature), [`cache`] (content-keyed context
+//! memoization), and [`stats`]. See `EXPERIMENTS.md` at the repository
+//! root for the paper-vs-measured record.
 
 #![warn(missing_docs)]
 // `signals` needs two `asm!`-wrapped syscalls for libc-free

@@ -1,6 +1,6 @@
 //! The parallel sweep runner.
 //!
-//! Every figure binary runs the same shape of experiment: a cross product
+//! Every sweep has the same shape: a cross product
 //! of (benchmarks × scheme/machine cells), where per-benchmark context
 //! construction is expensive and every cell is independent. A
 //! [`SweepSpec`] declares that sweep; [`SweepSpec::run`] executes it on a
@@ -28,7 +28,6 @@
 use crate::cache::{self, stable_hash64, CacheCounters, CacheOutcome};
 use crate::harness::{BenchError, Scheme, SchemeRun};
 use crate::journal::{self, Journal};
-use crate::signals::SignalWatch;
 use crate::supervisor;
 use mg_core::candidate::SelectionConfig;
 use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, tele_hist};
@@ -88,8 +87,6 @@ pub enum InputSel {
     Primary,
     /// Each benchmark's alternate input ([`BenchmarkSpec::alternate_input`]).
     Alternate,
-    /// One fixed input set for every benchmark.
-    Fixed(InputSet),
 }
 
 impl InputSel {
@@ -97,7 +94,6 @@ impl InputSel {
         match self {
             InputSel::Primary => spec.primary_input(),
             InputSel::Alternate => spec.alternate_input(),
-            InputSel::Fixed(input) => input.clone(),
         }
     }
 }
@@ -119,7 +115,6 @@ pub struct SweepSpec {
     journal: bool,
     resume: bool,
     journal_root: PathBuf,
-    graceful: bool,
     #[cfg(feature = "obs")]
     obs: Option<mg_obs::ObsConfig>,
 }
@@ -141,7 +136,6 @@ impl SweepSpec {
             journal: false,
             resume: false,
             journal_root: PathBuf::from(journal::JOURNAL_DIR),
-            graceful: false,
             #[cfg(feature = "obs")]
             obs: None,
         }
@@ -234,7 +228,7 @@ impl SweepSpec {
     /// journal (one atomically-written, checksummed file per row under
     /// `results/journal/`), so an interrupted sweep can be resumed.
     /// Default: off for library callers; [`crate::supervisor::run_cli`]
-    /// turns it on for every figure binary.
+    /// turns it on for every sweep it runs.
     pub fn journal(mut self, on: bool) -> SweepSpec {
         self.journal = on;
         self
@@ -256,17 +250,6 @@ impl SweepSpec {
         self
     }
 
-    /// Installs a SIGINT/SIGTERM watcher for the duration of the sweep:
-    /// the first signal requests cooperative shutdown (in-flight
-    /// benchmarks drain, the journal keeps finished rows, the summary
-    /// prints a resume hint), a second aborts immediately. Default: off;
-    /// on unsupported platforms this degrades to cooperative
-    /// [`crate::supervisor::request_shutdown`] only.
-    pub fn graceful_shutdown(mut self, on: bool) -> SweepSpec {
-        self.graceful = on;
-        self
-    }
-
     /// Attaches the pipeline observer to every cell run: each benchmark
     /// row then carries a per-benchmark [`mg_obs::ObsAggregate`] and
     /// [`SweepResult::obs_aggregate`] merges them sweep-wide.
@@ -274,11 +257,6 @@ impl SweepSpec {
     pub fn observe(mut self, cfg: mg_obs::ObsConfig) -> SweepSpec {
         self.obs = Some(cfg);
         self
-    }
-
-    /// The benchmarks of the sweep, in row order.
-    pub fn bench_specs(&self) -> &[BenchmarkSpec] {
-        &self.benches
     }
 
     /// Executes the sweep and collects rows in deterministic order.
@@ -292,14 +270,6 @@ impl SweepSpec {
     /// they are recorded as error rows and the sweep continues.
     pub fn run(&self) -> SweepResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Executes the sweep as a figure binary should:
-    /// [`crate::supervisor::run_cli`] — journaled, resumable via
-    /// `MG_RESUME=1`, graceful on SIGINT/SIGTERM, exiting `2` on
-    /// configuration errors and `130` after an interrupt.
-    pub fn run_cli(self) -> SweepResult {
-        supervisor::run_cli(self)
     }
 
     /// Whether this sweep journals rows. Observed sweeps do not: the
@@ -350,22 +320,6 @@ impl SweepSpec {
                 .collect(),
             _ => vec![None; self.benches.len()],
         };
-        let _watch = self
-            .graceful
-            .then(|| {
-                SignalWatch::install(|signo, count| {
-                    if count == 1 {
-                        mg_error!(
-                            "signal {signo}: draining in-flight benchmarks \
-                             (signal again to abort immediately)"
-                        );
-                        supervisor::request_shutdown();
-                    } else {
-                        std::process::exit(128 + signo);
-                    }
-                })
-            })
-            .flatten();
         let before = cache::counters();
         let t0 = Instant::now();
         let _sweep_span = mg_obs::span(
@@ -575,12 +529,6 @@ impl BenchRows {
     pub fn get(&self, idx: usize) -> Result<&SchemeRun, &BenchError> {
         self.runs[idx].as_ref()
     }
-
-    /// All runs, or the first failure (for binaries that skip a
-    /// benchmark when any of its cells failed).
-    pub fn all_ok(&self) -> Result<Vec<&SchemeRun>, &BenchError> {
-        self.runs.iter().map(|r| r.as_ref()).collect()
-    }
 }
 
 /// Everything a sweep produced.
@@ -663,14 +611,15 @@ impl BenchProfile {
 }
 
 impl SweepSummary {
-    /// Logs the standard summary footer: the aggregate line and the
-    /// slowest benchmarks at `info`, the full per-benchmark listing at
-    /// `debug` (`MG_LOG=debug`).
+    /// Logs the standard summary footer: the aggregate line (naming the
+    /// journal directory when the sweep journals) and the slowest
+    /// benchmarks at `info`, the full per-benchmark listing at `debug`
+    /// (`MG_LOG=debug`).
     pub fn print_footer(&self) {
         mg_info!(
             "sweep: {} benchmarks x {} cells on {} workers in {:.1}s \
              (task time {:.1}s, speedup {:.1}x); \
-             context cache: {} memory hits, {} disk hits, {} misses{}",
+             context cache: {} memory hits, {} disk hits, {} misses{}{}",
             self.benches,
             self.cells,
             self.jobs,
@@ -685,6 +634,9 @@ impl SweepSummary {
             } else {
                 String::new()
             },
+            self.journal_dir
+                .as_ref()
+                .map_or(String::new(), |d| format!("; journal {}", d.display())),
         );
         if self.replayed > 0 || self.retries > 0 || self.interrupted > 0 {
             mg_info!(

@@ -27,17 +27,21 @@
 //!    becomes a [`BenchError::Panicked`] row carrying the payload, and
 //!    the other 77 benchmarks of a figure still complete.
 //!
-//! [`run_cli`] is the binary entry point that turns all of this on:
-//! journaling to `results/journal/`, resume via `MG_RESUME=1`, graceful
-//! signal shutdown, and the conventional exit codes (`2` for
-//! configuration errors, `130` after an interrupt).
+//! [`run_cli`] is the binary entry point that turns all of this on for
+//! a list of sweeps: journaling to `results/journal/`, resume via
+//! `MG_RESUME=1`, graceful signal shutdown, one telemetry snapshot and
+//! trace for the whole process, and the conventional exit codes (`2`
+//! for configuration errors, `130` after an interrupt).
 
+use crate::config::Config;
 use crate::harness::{BenchContext, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
+use crate::signals::SignalWatch;
 use mg_obs::{mg_debug, mg_error, mg_info, tele_counter};
 use mg_sim::MachineConfig;
 use mg_workloads::{BenchmarkSpec, InputSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -120,6 +124,22 @@ fn run_cell_once(
     }
 }
 
+/// [`run_cell_once`] with a panic turned into [`BenchError::Panicked`].
+fn run_cell_caught(
+    ctx: &BenchContext,
+    cell: &SweepCell,
+    cell_idx: usize,
+    obs: ObsArg,
+) -> Result<(SchemeRun, ObsPayload), BenchError> {
+    catch_unwind(AssertUnwindSafe(|| run_cell_once(ctx, cell, cell_idx, obs))).unwrap_or_else(|e| {
+        Err(BenchError::Panicked {
+            bench: ctx.spec.name.clone(),
+            cell: cell_idx,
+            payload: panic_payload(e),
+        })
+    })
+}
+
 /// One supervised attempt: panic isolation always, watchdog when a limit
 /// is set.
 fn attempt_cell(
@@ -129,35 +149,15 @@ fn attempt_cell(
     watchdog: Option<Duration>,
     obs: ObsArg,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
-    let bench = ctx.spec.name.clone();
     let Some(limit) = watchdog else {
-        return match catch_unwind(AssertUnwindSafe(|| run_cell_once(ctx, cell, cell_idx, obs))) {
-            Ok(res) => res,
-            Err(e) => Err(BenchError::Panicked {
-                bench,
-                cell: cell_idx,
-                payload: panic_payload(e),
-            }),
-        };
+        return run_cell_caught(ctx, cell, cell_idx, obs);
     };
     let (tx, rx) = mpsc::channel();
-    let ctx2 = Arc::clone(ctx);
-    let cell2 = cell.clone();
-    let bench2 = bench.clone();
+    let (ctx2, cell2) = (Arc::clone(ctx), cell.clone());
     let spawned = std::thread::Builder::new()
-        .name(format!("mg-cell-{bench}-{cell_idx}"))
+        .name(format!("mg-cell-{}-{cell_idx}", ctx.spec.name))
         .spawn(move || {
-            let out = match catch_unwind(AssertUnwindSafe(|| {
-                run_cell_once(&ctx2, &cell2, cell_idx, obs)
-            })) {
-                Ok(res) => res,
-                Err(e) => Err(BenchError::Panicked {
-                    bench: bench2,
-                    cell: cell_idx,
-                    payload: panic_payload(e),
-                }),
-            };
-            let _ = tx.send(out);
+            let _ = tx.send(run_cell_caught(&ctx2, &cell2, cell_idx, obs));
         });
     let Ok(handle) = spawned else {
         // Cannot spawn a helper (thread exhaustion): run inline without
@@ -170,7 +170,7 @@ fn attempt_cell(
             res
         }
         Err(_) => Err(BenchError::TimedOut {
-            bench,
+            bench: ctx.spec.name.clone(),
             cell: cell_idx,
             limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
         }),
@@ -309,98 +309,98 @@ pub fn supervise_cell(
     res.map(|(run, _payload)| run)
 }
 
-/// The standard binary entry point for a sweep: journaled, resumable,
-/// and signal-aware. All `MG_*` knobs arrive through
-/// [`crate::config::Config::init_cli`] — the one environment parse
-/// point.
+/// The standard binary entry point: runs `specs` one after another,
+/// each journaled, resumable and signal-aware, under the knobs of `cfg`
+/// (read once by [`crate::config::Config::init_cli`]), and exits the
+/// process instead of returning on failure. `name` names the telemetry
+/// artifacts under `results/`. See [`run_sweeps`].
+pub fn run_cli(cfg: &Config, name: &str, specs: Vec<SweepSpec>) -> Vec<SweepResult> {
+    run_sweeps(cfg, name, specs, Path::new("results"))
+        .unwrap_or_else(|code| std::process::exit(code))
+}
+
+/// [`run_cli`] without leaving the process: `Err` carries the exit
+/// status `run_cli` exits with.
 ///
-/// - Journals every finished row under `results/journal/` and clears the
-///   journal when the sweep completes without interruption (error rows
-///   are a completed sweep; only a shutdown leaves the journal behind).
-///   `MG_JOURNAL_KEEP=1` keeps it anyway, for audit trails and CI
-///   artifacts.
+/// - Journals every finished row (under `results/journal/` by default)
+///   and clears the journals once every sweep has completed without
+///   interruption; `MG_JOURNAL_KEEP=1` keeps them for audits and CI.
 /// - `MG_RESUME=1` replays journaled rows from a previous interrupted
-///   invocation of the same sweep bit-identically.
-/// - SIGINT/SIGTERM drain in-flight benchmarks, flush the journal, and
-///   exit `130` with a resume hint; a second signal aborts immediately.
-/// - Configuration errors (`MG_JOBS`, `MG_FAULT`, any malformed knob)
-///   print a diagnostic and exit `2` instead of panicking.
-/// - At sweep exit (completed *or* interrupted) the global telemetry
-///   registry is snapshotted to `results/TELEMETRY_<bin>.json`, and
-///   with `MG_TRACE=1` the collected spans are drained to
-///   `results/TRACE_<bin>.mgb` (a checksummed binary record; render
-///   its Chrome trace JSON view for Perfetto with `export_json`).
-pub fn run_cli(spec: SweepSpec) -> SweepResult {
-    let cfg = crate::config::Config::init_cli();
-    let spec = spec
-        .journal(true)
-        .graceful_shutdown(true)
-        .resume(cfg.resume)
-        .jobs_if_unset(cfg.effective_jobs());
-    match spec.try_run() {
-        Err(e) => {
+///   run bit-identically, in every sweep of the list.
+/// - A SIGINT/SIGTERM watcher runs for the whole list: the first signal
+///   drains in-flight benchmarks, flushes the journal (the footer prints
+///   a resume hint), skips the remaining sweeps and returns `Err(130)`;
+///   a second signal aborts immediately. A configuration error returns
+///   `Err(2)`.
+/// - After the last sweep that ran, the telemetry registry is
+///   snapshotted to `<dir>/TELEMETRY_<name>.json`, and with span
+///   collection on (`MG_TRACE=1`) the spans of every sweep are drained
+///   to `<dir>/TRACE_<name>.mgb` (a checksummed binary record; render its
+///   Chrome trace JSON view for Perfetto with `export_json`).
+pub fn run_sweeps(
+    cfg: &Config,
+    name: &str,
+    specs: Vec<SweepSpec>,
+    dir: &Path,
+) -> Result<Vec<SweepResult>, i32> {
+    // One watcher for the whole list, so a signal between two sweeps
+    // drains too. Unsupported platforms keep cooperative shutdown only.
+    let _watch = SignalWatch::install(|signo, count| {
+        if count == 1 {
+            mg_error!(
+                "signal {signo}: draining in-flight benchmarks (signal again to abort immediately)"
+            );
+            request_shutdown();
+        } else {
+            std::process::exit(128 + signo);
+        }
+    });
+    let interrupted = |r: &SweepResult| r.summary.interrupted > 0;
+    let mut results = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let spec = spec
+            .journal(true)
+            .resume(cfg.resume)
+            .jobs_if_unset(cfg.effective_jobs());
+        results.push(spec.try_run().map_err(|e| {
             mg_error!("sweep configuration error: {e}");
-            std::process::exit(2);
-        }
-        Ok(result) => {
-            write_telemetry_artifacts(&bin_name(), cfg.trace);
-            if result.summary.interrupted > 0 {
-                std::process::exit(130);
-            }
-            if !cfg.journal_keep {
-                if let Some(dir) = &result.summary.journal_dir {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-            }
-            result
+            2
+        })?);
+        if results.iter().any(interrupted) {
+            break;
         }
     }
-}
-
-/// The invoking binary's file stem, sanitized for use in a results
-/// file name (`reproduce`, `perf`, ...).
-fn bin_name() -> String {
-    let name = std::env::args()
-        .next()
-        .and_then(|p| {
-            std::path::Path::new(&p)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-        })
-        .unwrap_or_default();
-    let sanitized: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if sanitized.is_empty() {
-        "sweep".to_string()
-    } else {
-        sanitized
+    write_telemetry_artifacts(dir, name);
+    if results.iter().any(interrupted) {
+        return Err(130);
     }
+    if !cfg.journal_keep {
+        for r in &results {
+            if let Some(journal) = &r.summary.journal_dir {
+                let _ = std::fs::remove_dir_all(journal);
+            }
+        }
+    }
+    Ok(results)
 }
 
-/// Snapshots the telemetry registry to `results/TELEMETRY_<bin>.json`
+/// Snapshots the telemetry registry to `<dir>/TELEMETRY_<name>.json`
 /// and, when span collection is on, drains the span buffer to
-/// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record).
-/// Best-effort: a failed write logs an error but never fails the sweep
+/// `<dir>/TRACE_<name>.mgb` (a checksummed [`crate::binfmt`] record).
+/// Best-effort: a failed write logs an error but never fails the sweeps
 /// that produced the rows.
-pub fn write_telemetry_artifacts(bin: &str, trace: bool) {
+fn write_telemetry_artifacts(dir: &Path, name: &str) {
     use crate::binfmt::{self, RecordKind};
-    let path =
-        crate::harness::save_json(&format!("TELEMETRY_{bin}"), &mg_obs::telemetry::snapshot());
+    let path = crate::harness::save_json_in(
+        dir,
+        &format!("TELEMETRY_{name}"),
+        &mg_obs::telemetry::snapshot(),
+    );
     mg_info!("telemetry snapshot written to {}", path.display());
-    if trace && mg_obs::span::enabled() {
-        let dir = std::path::Path::new("results");
-        let _ = std::fs::create_dir_all(dir);
+    if mg_obs::span::enabled() {
         let doc = mg_obs::span::chrome_trace(mg_obs::span::drain());
         let n = doc.traceEvents.len();
-        let path = dir.join(format!("TRACE_{bin}.{}", binfmt::EXT));
+        let path = dir.join(format!("TRACE_{name}.{}", binfmt::EXT));
         let bytes = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
         match std::fs::write(&path, bytes) {
             Ok(()) => mg_info!(

@@ -20,13 +20,21 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn parallel_fig6_json_is_byte_identical_to_serial() {
     let _guard = LOCK.lock().unwrap();
     let parallel = {
-        let result = paper_spec(6).jobs(4).disk_cache(false).quiet(true).run();
+        let result = paper_spec(&suite()[..6])
+            .jobs(4)
+            .disk_cache(false)
+            .quiet(true)
+            .run();
         let view = fig6(&result);
         assert!(view.skipped.is_empty(), "skipped: {:?}", view.skipped);
         serde_json::to_string_pretty(&view.rows).unwrap()
     };
     let serial = {
-        let result = paper_spec(6).jobs(1).disk_cache(false).quiet(true).run();
+        let result = paper_spec(&suite()[..6])
+            .jobs(1)
+            .disk_cache(false)
+            .quiet(true)
+            .run();
         let view = fig6(&result);
         assert!(view.skipped.is_empty(), "skipped: {:?}", view.skipped);
         serde_json::to_string_pretty(&view.rows).unwrap()
@@ -111,4 +119,37 @@ fn try_new_shorthand_matches_explicit_builder() {
     assert_eq!(short.cycles, explicit.cycles);
     assert_eq!(short.ipc, explicit.ipc);
     assert_eq!(short.coverage, explicit.coverage);
+}
+
+/// A process that runs several sweeps writes one trace after the last,
+/// holding every sweep's span (draining after each sweep would keep only
+/// the last one's), and clears their journals once all completed.
+#[test]
+fn one_trace_holds_the_span_of_every_sweep() {
+    use mg_bench::binfmt::{from_record, RecordKind, SPAN_TRACE_SCHEMA};
+    use mg_obs::span::ChromeTrace;
+    let _guard = LOCK.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("mg-trace-{}", std::process::id()));
+    let red = MachineConfig::reduced();
+    let sweep = |cells| {
+        let spec = SweepSpec::new(&red).benches(suite().into_iter().take(1));
+        let spec = spec.cells(vec![SweepCell::new(Scheme::NoMg, &red); cells]);
+        spec.journal_dir(dir.join("journal"))
+            .disk_cache(false)
+            .quiet(true)
+    };
+    mg_obs::span::set_enabled(true);
+    let cfg = mg_bench::Config::default();
+    let results = mg_bench::supervisor::run_sweeps(&cfg, "two", vec![sweep(1), sweep(2)], &dir);
+    mg_obs::span::set_enabled(false);
+    assert_eq!(results.map(|r| r.len()), Ok(2));
+
+    let bytes = std::fs::read(dir.join("TRACE_two.mgb")).unwrap();
+    let doc: ChromeTrace = from_record(&bytes, RecordKind::SpanTrace, SPAN_TRACE_SCHEMA).unwrap();
+    let sweeps = doc.traceEvents.iter().filter(|e| e.cat == "sweep");
+    let names: Vec<&str> = sweeps.map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["sweep:1x1", "sweep:1x2"]);
+    let journals = std::fs::read_dir(dir.join("journal")).map_or(0, |d| d.count());
+    assert_eq!(journals, 0, "completed journals are cleared");
+    let _ = std::fs::remove_dir_all(&dir);
 }

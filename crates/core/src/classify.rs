@@ -26,13 +26,6 @@ pub enum Serialization {
     Unbounded,
 }
 
-impl Serialization {
-    /// Whether the candidate has any external-serialization exposure.
-    pub fn is_serializing(self) -> bool {
-        !matches!(self, Serialization::None)
-    }
-}
-
 /// Classifies a candidate's serialization exposure from its shape.
 pub fn classify(shape: &CandidateShape) -> Serialization {
     if !shape.potentially_serializing() {

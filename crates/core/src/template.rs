@@ -9,9 +9,7 @@
 use crate::candidate::{CandSrc, Candidate};
 use mg_isa::{BasicBlock, Opcode, Program};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// A canonical template signature.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -41,13 +39,6 @@ impl TemplateSig {
             links: candidate.shape.srcs.clone(),
             output_pos: candidate.shape.output_pos,
         }
-    }
-
-    /// A short stable hash, for display.
-    pub fn short_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
     }
 }
 

@@ -263,11 +263,6 @@ impl Opcode {
         matches!(self, Jmp | Call | Ret | Halt)
     }
 
-    /// Whether the opcode ends a basic block when present.
-    pub fn terminates_block(self) -> bool {
-        self.is_control()
-    }
-
     /// Whether this opcode may be a mini-graph constituent.
     ///
     /// `Call`/`Ret`/`Halt` cross function boundaries and are excluded.

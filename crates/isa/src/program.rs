@@ -271,11 +271,6 @@ impl Program {
         self.pcs[id.index()]
     }
 
-    /// Iterates over `(StaticId, &Instruction)` in layout order.
-    pub fn iter_static(&self) -> impl Iterator<Item = (StaticId, &crate::Instruction)> + '_ {
-        (0..self.locs.len()).map(|i| (StaticId(i as u32), self.inst(StaticId(i as u32))))
-    }
-
     /// Iterates over the static ids of a block's instructions.
     pub fn block_ids(&self, block: BlockId) -> impl Iterator<Item = StaticId> + '_ {
         let first = self.first_id[block.index()];

@@ -11,11 +11,11 @@
 //! Collection is **off by default** (a disabled span is one relaxed
 //! atomic load and two `Instant` reads); the `MG_TRACE` knob — parsed
 //! by `mg_bench::config` like every other `MG_*` knob — turns it on,
-//! and `run_cli` drains the buffer at sweep exit to the binary record
-//! `results/TRACE_<bin>.mgb`. Its JSON view for Perfetto comes from the
-//! one export path, `export_json results/TRACE_<bin>.mgb`, which writes
-//! `results/TRACE_<bin>.json`. The hierarchy convention is category
-//! `sweep` → `bench` → `cell` → `stage`.
+//! and `run_cli` drains the buffer after its last sweep to the binary
+//! record `results/TRACE_<bin>.mgb`. Its JSON view for Perfetto comes
+//! from the one export path, `export_json results/TRACE_<bin>.mgb`,
+//! which writes `results/TRACE_<bin>.json`. The hierarchy convention is
+//! category `sweep` → `bench` → `cell` → `stage`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;

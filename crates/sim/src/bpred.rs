@@ -17,17 +17,6 @@ pub struct BPredStats {
     pub ras_mispredicts: u64,
 }
 
-impl BPredStats {
-    /// Direction misprediction rate in [0, 1].
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.cond_branches == 0 {
-            0.0
-        } else {
-            self.dir_mispredicts as f64 / self.cond_branches as f64
-        }
-    }
-}
-
 fn ctr_update(ctr: &mut u8, taken: bool) {
     if taken {
         *ctr = (*ctr + 1).min(3);
