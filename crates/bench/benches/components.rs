@@ -4,12 +4,12 @@
 //! profiling, and the branch predictor / cache models.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use mg_bench::{BenchContext, Scheme::*, SweepCell};
 use mg_core::candidate::{enumerate, SelectionConfig};
-use mg_core::pipeline::{prepare, profile_workload};
-use mg_core::select::{greedy_select, Selector};
+use mg_core::select::greedy_select;
 use mg_sim::bpred::DirectionPredictor;
 use mg_sim::cache::Cache;
-use mg_sim::{simulate, BPredConfig, CacheConfig, MachineConfig, MgConfig, SimOptions};
+use mg_sim::{BPredConfig, CacheConfig, MachineConfig};
 use mg_workloads::{benchmark, Executor};
 
 fn bench_workload() -> mg_workloads::Workload {
@@ -36,58 +36,29 @@ fn functional_execution(c: &mut Criterion) {
 }
 
 fn timing_simulation(c: &mut Criterion) {
-    let w = bench_workload();
-    let (trace, _) = Executor::new(&w.program).run_with_mem(&w.init_mem).unwrap();
     let red = MachineConfig::reduced();
-    let (_, freqs, slack) = profile_workload(&w, &red);
-    let prepared = prepare(
-        &w.program,
-        &freqs,
-        &Selector::SlackProfile(Default::default(), slack),
-        &SelectionConfig::default(),
-    );
-    let (mg_trace, _) = Executor::new(&prepared.program)
-        .run_with_mem(&w.init_mem)
-        .unwrap();
-    let mg_machine = red.clone().with_mg(MgConfig::paper());
+    let mut spec = benchmark("mib_crc32").expect("registry entry");
+    spec.params.target_dyn = 30_000;
+    let ctx = BenchContext::builder(&spec, &red)
+        .disk_cache(false)
+        .build()
+        .expect("context builds");
+    let [singleton, with_mg, mut profiling] = [NoMg, SlackProfile, NoMg].map(|s| {
+        ctx.prepare(&SweepCell::new(s, &red))
+            .expect("cell prepares")
+    });
+    profiling.opts.profile_slack = true;
 
     let mut g = c.benchmark_group("timing");
-    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.throughput(Throughput::Elements(ctx.artifacts.trace.len() as u64));
     g.bench_function("singleton", |b| {
-        b.iter(|| {
-            simulate(&w.program, &trace, &red, SimOptions::default())
-                .stats
-                .cycles
-        })
+        b.iter(|| singleton.simulate().stats.cycles)
     });
     g.bench_function("with-minigraphs", |b| {
-        b.iter(|| {
-            simulate(
-                &prepared.program,
-                &mg_trace,
-                &mg_machine,
-                SimOptions::default(),
-            )
-            .stats
-            .cycles
-        })
+        b.iter(|| with_mg.simulate().stats.cycles)
     });
     g.bench_function("slack-profiling", |b| {
-        b.iter(|| {
-            simulate(
-                &w.program,
-                &trace,
-                &red,
-                SimOptions {
-                    profile_slack: true,
-                    ..SimOptions::default()
-                },
-            )
-            .slack
-            .unwrap()
-            .per_static
-            .len()
-        })
+        b.iter(|| profiling.simulate().slack.unwrap().per_static.len())
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 //! throughput reported in simulated cycles per second.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mg_bench::{BenchContext, Scheme};
+use mg_bench::{BenchContext, Scheme, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::benchmark;
 
@@ -28,7 +28,7 @@ fn simulate_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
     for (name, scheme, machine) in cells {
         let prepared = ctx
-            .prepare_sim(scheme, machine, None, None)
+            .prepare(&SweepCell::new(scheme, machine))
             .expect("cell prepares");
         let cycles = prepared.simulate().stats.cycles;
         g.throughput(Throughput::Elements(cycles));

@@ -70,7 +70,14 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (run, report) = match ctx.try_run_obs(scheme, &red, mg_sim::ObsConfig::default()) {
+    let run = ctx
+        .prepare(&mg_bench::SweepCell::new(scheme, &red))
+        .and_then(|mut p| {
+            p.opts.obs = Some(mg_sim::ObsConfig::default());
+            let r = p.simulate();
+            Ok((p.row(&r)?, r.obs.expect("an observed run returns a report")))
+        });
+    let (run, report) = match run {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("instrumented run failed: {e}");

@@ -26,8 +26,9 @@
 //! run-time overhead ratio (and checking stall-attribution
 //! conservation) in the report's `obs` section.
 
+use mg_bench::figures::FIG1_CELLS;
 use mg_bench::harness::PreparedSim;
-use mg_bench::{machine_fingerprint, BenchContext, Scheme, SCHEMA_VERSION};
+use mg_bench::{machine_fingerprint, BenchContext, SweepCell, SCHEMA_VERSION};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 use serde::Serialize;
@@ -129,18 +130,7 @@ struct PerfReport {
     obs: Option<ObsPerf>,
 }
 
-fn cell_tags() -> Vec<(Scheme, &'static str)> {
-    vec![
-        (Scheme::NoMg, "base"),
-        (Scheme::NoMg, "red"),
-        (Scheme::StructAll, "red"),
-        (Scheme::StructNone, "red"),
-        (Scheme::SlackProfile, "red"),
-    ]
-}
-
 fn prepare_all(take: usize, target_dyn: usize) -> Vec<(String, Vec<PreparedSim>)> {
-    let base = MachineConfig::baseline();
     let red = MachineConfig::reduced();
     suite()
         .into_iter()
@@ -155,11 +145,11 @@ fn prepare_all(take: usize, target_dyn: usize) -> Vec<(String, Vec<PreparedSim>)
                 }
             };
             let mut sims = Vec::new();
-            for (scheme, tag) in cell_tags() {
-                let machine = if tag == "base" { &base } else { &red };
-                match ctx.prepare_sim(scheme, machine, None, None) {
+            for &(scheme, machine) in FIG1_CELLS {
+                match ctx.prepare(&SweepCell::new(scheme, &machine.config())) {
                     Ok(p) => sims.push(p),
                     Err(e) => {
+                        let tag = machine.tag();
                         eprintln!("skipped {} cell {}/{tag}: {e}", spec.name, scheme.name());
                         return None;
                     }
@@ -191,33 +181,40 @@ fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64)
     (cycles, best_wall)
 }
 
+/// The benchmark the allocation and observer profiles run on.
+#[cfg(any(feature = "alloc-count", feature = "obs"))]
+const PROFILE_BENCH: &str = "mib_crc32";
+
+/// Struct-All on the reduced machine, prepared on [`PROFILE_BENCH`] cut
+/// to `target_dyn` dynamic instructions.
+#[cfg(any(feature = "alloc-count", feature = "obs"))]
+fn profile_cell(target_dyn: usize) -> Option<PreparedSim> {
+    let red = MachineConfig::reduced();
+    let mut spec = suite().into_iter().find(|s| s.name == PROFILE_BENCH)?;
+    spec.params.target_dyn = target_dyn;
+    let ctx = BenchContext::builder(&spec, &red).disk_cache(false);
+    let cell = SweepCell::new(mg_bench::Scheme::StructAll, &red);
+    ctx.build().ok()?.prepare(&cell).ok()
+}
+
 #[cfg(feature = "alloc-count")]
 fn alloc_profile(target_dyn: usize) -> Option<AllocPerf> {
     // One benchmark, two trace lengths: the allocation-count slope
     // between them is the steady-state allocations per simulated cycle.
-    let red = MachineConfig::reduced();
-    let mut short_spec = suite().into_iter().find(|s| s.name == "mib_crc32")?;
-    let mut long_spec = short_spec.clone();
-    short_spec.params.target_dyn = target_dyn;
-    long_spec.params.target_dyn = target_dyn * 4;
-    let measure = |spec: &mg_workloads::BenchmarkSpec| -> Option<(u64, u64)> {
-        let ctx = BenchContext::builder(spec, &red)
-            .cache(false)
-            .build()
-            .ok()?;
-        let p = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
+    let measure = |target_dyn| -> Option<(u64, u64)> {
+        let p = profile_cell(target_dyn)?;
         p.simulate(); // warm: fault in lazily-allocated structures
         let a0 = alloc_count::allocs();
         let r = p.simulate();
         let a1 = alloc_count::allocs();
         Some((r.stats.cycles, a1 - a0))
     };
-    let (short_cycles, short_allocs) = measure(&short_spec)?;
-    let (long_cycles, long_allocs) = measure(&long_spec)?;
+    let (short_cycles, short_allocs) = measure(target_dyn)?;
+    let (long_cycles, long_allocs) = measure(target_dyn * 4)?;
     let dc = long_cycles.saturating_sub(short_cycles).max(1);
     let da = long_allocs.saturating_sub(short_allocs);
     Some(AllocPerf {
-        bench: short_spec.name,
+        bench: PROFILE_BENCH.to_string(),
         short_cycles,
         long_cycles,
         short_allocs,
@@ -236,14 +233,7 @@ fn alloc_profile(_target_dyn: usize) -> Option<AllocPerf> {
 /// feature off is zero — the hooks compile away).
 #[cfg(feature = "obs")]
 fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
-    let red = MachineConfig::reduced();
-    let mut spec = suite().into_iter().find(|s| s.name == "mib_crc32")?;
-    spec.params.target_dyn = target_dyn;
-    let ctx = BenchContext::builder(&spec, &red)
-        .cache(false)
-        .build()
-        .ok()?;
-    let plain = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
+    let plain = profile_cell(target_dyn)?;
     let mut observed = plain.clone();
     observed.opts.obs = Some(mg_sim::ObsConfig::default());
     let best = |p: &PreparedSim| -> f64 {
@@ -260,7 +250,7 @@ fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
     let r = observed.simulate();
     let report = r.obs.as_ref()?;
     Some(ObsPerf {
-        bench: spec.name,
+        bench: PROFILE_BENCH.to_string(),
         cycles: r.stats.cycles,
         plain_wall_sec,
         observed_wall_sec,
@@ -292,7 +282,8 @@ fn main() {
     let mut cells = Vec::new();
     let mut total_cycles = 0u64;
     let mut total_wall = 0.0f64;
-    for (i, (scheme, tag)) in cell_tags().into_iter().enumerate() {
+    for (i, &(scheme, machine)) in FIG1_CELLS.iter().enumerate() {
+        let tag = machine.tag();
         let (cycles, wall) = time_cell(&prepared, i);
         eprintln!(
             "{:<16} {:<5} {:>12} cycles  {:>8.3}s  {:>12.0} cyc/s",

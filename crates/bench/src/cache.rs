@@ -439,7 +439,7 @@ pub fn disk_store_to(
     evict_lru(dir, cache_cap_bytes());
 }
 
-fn exec_err(
+pub(crate) fn exec_err(
     spec: &BenchmarkSpec,
     stage: &'static str,
     source: mg_workloads::ExecError,
@@ -449,35 +449,6 @@ fn exec_err(
         stage: stage.to_string(),
         detail: source.to_string(),
     }
-}
-
-/// Generates the run-input workload and derives its committed trace (the
-/// functional half of a context; cheap relative to profiling).
-fn run_side(spec: &BenchmarkSpec, run_input: &InputSet) -> Result<(Workload, Trace), BenchError> {
-    let workload = spec.generate_with_input(run_input);
-    let (trace, _) = Executor::new(&workload.program)
-        .run_with_mem(&workload.init_mem)
-        .map_err(|e| exec_err(spec, "run-input execution", e))?;
-    Ok((workload, trace))
-}
-
-/// Builds the full artifact set with no cache involvement.
-pub(crate) fn compute_uncached(
-    spec: &BenchmarkSpec,
-    train_cfg: &MachineConfig,
-    train_input: &InputSet,
-    run_input: &InputSet,
-) -> Result<ContextArtifacts, BenchError> {
-    let train_w = spec.generate_with_input(train_input);
-    let (_, freqs, slack) = try_profile_workload(&train_w, train_cfg)
-        .map_err(|e| exec_err(spec, "train-input execution", e))?;
-    let (workload, trace) = run_side(spec, run_input)?;
-    Ok(ContextArtifacts {
-        workload,
-        trace,
-        freqs,
-        slack,
-    })
 }
 
 /// Fetches (or builds and caches) the artifacts for a context request,
@@ -504,23 +475,26 @@ pub(crate) fn context(
     } else {
         None
     };
-    let (artifacts, outcome) = match disk_entry {
-        Some((freqs, slack)) => {
-            let (workload, trace) = run_side(spec, run_input)?;
-            (
-                ContextArtifacts {
-                    workload,
-                    trace,
-                    freqs,
-                    slack,
-                },
-                CacheOutcome::DiskHit,
-            )
+    let (freqs, slack, outcome) = match disk_entry {
+        Some((freqs, slack)) => (freqs, slack, CacheOutcome::DiskHit),
+        None => {
+            let train_w = spec.generate_with_input(train_input);
+            let (_, freqs, slack) = try_profile_workload(&train_w, train_cfg)
+                .map_err(|e| exec_err(spec, "train-input execution", e))?;
+            (freqs, slack, CacheOutcome::Miss)
         }
-        None => (
-            compute_uncached(spec, train_cfg, train_input, run_input)?,
-            CacheOutcome::Miss,
-        ),
+    };
+    // The functional half: cheap relative to profiling, and not kept on
+    // disk.
+    let workload = spec.generate_with_input(run_input);
+    let (trace, _) = Executor::new(&workload.program)
+        .run_with_mem(&workload.init_mem)
+        .map_err(|e| exec_err(spec, "run-input execution", e))?;
+    let artifacts = ContextArtifacts {
+        workload,
+        trace,
+        freqs,
+        slack,
     };
     match outcome {
         CacheOutcome::DiskHit => {

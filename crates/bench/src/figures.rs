@@ -46,10 +46,18 @@ pub enum Machine {
 
 impl Machine {
     /// The machine's configuration.
-    fn config(self) -> MachineConfig {
+    pub fn config(self) -> MachineConfig {
         match self {
             Base => MachineConfig::baseline(),
             Reduced => MachineConfig::reduced(),
+        }
+    }
+
+    /// The short tag engine records name the machine by (`base`/`red`).
+    pub fn tag(self) -> &'static str {
+        match self {
+            Base => "base",
+            Reduced => "red",
         }
     }
 }
@@ -77,6 +85,11 @@ pub const PAPER_CELLS: [(Scheme, Machine); 19] = [
     (SlackProfileMem, Reduced),
     (SlackProfileMem, Base),
 ];
+
+/// Figure 1's grid, the first five [`PAPER_CELLS`]: no-mg on both
+/// machines, then Struct-All, Struct-None and Slack-Profile on the
+/// reduced one.
+pub const FIG1_CELLS: &[(Scheme, Machine)] = PAPER_CELLS.split_at(5).0;
 
 /// The paper sweep over `benches`: every [`PAPER_CELLS`] cell, trained
 /// on the reduced machine with primary inputs.

@@ -15,9 +15,9 @@
 //! formatting.
 
 use crate::cache::stable_hash64;
-use crate::figures::Fig1Row;
+use crate::figures::{Fig1Row, Machine, FIG1_CELLS};
 use crate::harness::{BenchContext, Scheme};
-use crate::runner::par_map;
+use crate::runner::{par_map, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 use serde::{Deserialize, Serialize};
@@ -59,27 +59,18 @@ pub struct GoldenRow {
     pub fig1_json: String,
 }
 
-/// The golden cell list: the fig1 sweep (NoMg on both machines plus the
-/// three selectors on the reduced machine) and Slack-Dynamic, which
-/// exercises the run-time disabling machinery.
-fn cell_schemes() -> Vec<(Scheme, &'static str)> {
-    vec![
-        (Scheme::NoMg, "base"),
-        (Scheme::NoMg, "red"),
-        (Scheme::StructAll, "red"),
-        (Scheme::StructNone, "red"),
-        (Scheme::SlackProfile, "red"),
-        (Scheme::SlackDynamic, "red"),
-    ]
+/// The golden cell list: Figure 1's grid and Slack-Dynamic on the
+/// reduced machine, which exercises the run-time disabling machinery.
+fn cell_schemes() -> Vec<(Scheme, Machine)> {
+    [FIG1_CELLS, &[(Scheme::SlackDynamic, Machine::Reduced)]].concat()
 }
 
 /// Computes the digest of one benchmark.
 fn golden_row(spec: &mg_workloads::BenchmarkSpec) -> GoldenRow {
-    let base = MachineConfig::baseline();
     let red = MachineConfig::reduced();
     let mut spec = spec.clone();
     spec.params.target_dyn = GOLDEN_TARGET_DYN;
-    let ctx = match BenchContext::builder(&spec, &red).cache(false).build() {
+    let ctx = match BenchContext::builder(&spec, &red).disk_cache(false).build() {
         Ok(ctx) => ctx,
         Err(e) => {
             return GoldenRow {
@@ -92,45 +83,38 @@ fn golden_row(spec: &mg_workloads::BenchmarkSpec) -> GoldenRow {
         }
     };
     let freqs_hash = {
-        let mut bytes = Vec::with_capacity(ctx.freqs.len() * 8);
-        for f in &ctx.freqs {
+        let freqs = &ctx.artifacts.freqs;
+        let mut bytes = Vec::with_capacity(freqs.len() * 8);
+        for f in freqs {
             bytes.extend_from_slice(&f.to_le_bytes());
         }
         format!("{:016x}", stable_hash64(&bytes))
     };
     let slack_hash = format!(
         "{:016x}",
-        stable_hash64(format!("{:?}", ctx.slack).as_bytes())
+        stable_hash64(format!("{:?}", ctx.artifacts.slack).as_bytes())
     );
     let mut cells = Vec::new();
     let mut ipcs = Vec::new();
-    for (scheme, machine_tag) in cell_schemes() {
-        let machine = if machine_tag == "base" { &base } else { &red };
-        match ctx.try_sim_with(scheme, machine, None, None) {
-            Ok((r, _)) => {
-                let ipc = r.ipc();
-                ipcs.push(if r.hit_cycle_cap { None } else { Some(ipc) });
-                cells.push(GoldenCell {
-                    scheme: scheme.name().to_string(),
-                    machine: machine_tag.to_string(),
-                    stats: if r.hit_cycle_cap {
-                        format!("CYCLE-CAP: {:?}", r.stats)
-                    } else {
-                        format!("{:?}", r.stats)
-                    },
-                    ipc_bits: format!("{:016x}", ipc.to_bits()),
-                });
+    for (scheme, machine) in cell_schemes() {
+        let (stats, ipc) = match ctx.prepare(&SweepCell::new(scheme, &machine.config())) {
+            Ok(p) => {
+                let r = p.simulate();
+                let capped = if r.hit_cycle_cap { "CYCLE-CAP: " } else { "" };
+                ipcs.push((!r.hit_cycle_cap).then_some(r.ipc()));
+                (format!("{capped}{:?}", r.stats), r.ipc())
             }
             Err(e) => {
                 ipcs.push(None);
-                cells.push(GoldenCell {
-                    scheme: scheme.name().to_string(),
-                    machine: machine_tag.to_string(),
-                    stats: format!("ERROR: {e}"),
-                    ipc_bits: format!("{:016x}", 0u64),
-                });
+                (format!("ERROR: {e}"), 0.0)
             }
-        }
+        };
+        cells.push(GoldenCell {
+            scheme: scheme.name().to_string(),
+            machine: machine.tag().to_string(),
+            stats,
+            ipc_bits: format!("{:016x}", f64::to_bits(ipc)),
+        });
     }
     // Fig1 ratios need the first five cells (NoMg/base is the divisor).
     let fig1_json = match (ipcs[0], ipcs[1], ipcs[2], ipcs[3], ipcs[4]) {

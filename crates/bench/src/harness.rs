@@ -2,21 +2,23 @@
 //! machine configuration, producing the rows behind each figure.
 //!
 //! The harness API is *fallible*: contexts are built with
-//! [`BenchContext::builder`] (or [`BenchContext::try_new`]) and runs
-//! executed with [`BenchContext::try_run`], both returning
+//! [`BenchContext::builder`] (or [`BenchContext::try_new`]), and
+//! [`BenchContext::prepare`] turns one [`SweepCell`] into a
+//! [`PreparedSim`], the only way to a simulation input. Both return
 //! [`Result`]s over [`BenchError`] so a sweep can record a failed cell
-//! and continue. This is the only construction path — the old
-//! panicking wrappers are gone.
+//! and continue.
 
 use crate::cache::{self, CacheOutcome, ContextArtifacts};
-use mg_core::candidate::SelectionConfig;
-use mg_core::pipeline::try_prepare;
-use mg_core::select::{Selector, SlackProfileModel, SpKind};
-use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions, SimResult};
-use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
+use crate::runner::SweepCell;
+use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
+use mg_core::rewrite::try_rewrite;
+use mg_core::select::{greedy_select, Selector, SlackProfileModel, SpKind};
+use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions, SimResult, SlackProfile};
+use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Version of the JSON results schema written by [`save_json`]. Bump on
 /// any change to row shapes or envelope fields.
@@ -96,7 +98,24 @@ impl Scheme {
         }
     }
 
-    fn dyn_config(self) -> Option<DynMgConfig> {
+    /// The static scheme whose selection this scheme simulates: itself
+    /// for a static selector, Struct-All for Slack-Dynamic and the three
+    /// Ideal-SD schemes (they add a run-time controller on top of it),
+    /// none for no-mg.
+    pub fn selection(self) -> Option<Scheme> {
+        match self {
+            Scheme::NoMg => None,
+            Scheme::SlackDynamic
+            | Scheme::IdealSlackDynamic
+            | Scheme::IdealSlackDynamicDelay
+            | Scheme::IdealSlackDynamicSial => Some(Scheme::StructAll),
+            s => Some(s),
+        }
+    }
+
+    /// The run-time controller this scheme runs on top of its
+    /// selection, if any.
+    pub fn controller(self) -> Option<DynMgConfig> {
         match self {
             Scheme::SlackDynamic => Some(DynMgConfig::slack_dynamic()),
             Scheme::IdealSlackDynamic => Some(DynMgConfig::ideal()),
@@ -104,6 +123,25 @@ impl Scheme {
             Scheme::IdealSlackDynamicSial => Some(DynMgConfig::ideal_sial()),
             _ => None,
         }
+    }
+
+    /// The `mg_core` selector of this scheme's selection, reading the
+    /// slack profile `slack` (none for no-mg).
+    pub fn selector(self, slack: &SlackProfile) -> Option<Selector> {
+        let sp = |model| Selector::SlackProfile(model, slack.clone());
+        let kind = |kind| SlackProfileModel {
+            kind,
+            ..SlackProfileModel::default()
+        };
+        Some(match self.selection()? {
+            Scheme::StructNone => Selector::StructNone,
+            Scheme::StructBounded => Selector::StructBounded,
+            Scheme::SlackProfile => sp(kind(SpKind::Full)),
+            Scheme::SlackProfileDelay => sp(kind(SpKind::DelayOnly)),
+            Scheme::SlackProfileSial => sp(kind(SpKind::Sial)),
+            Scheme::SlackProfileMem => sp(SlackProfileModel::miss_aware()),
+            _ => Selector::StructAll,
+        })
     }
 }
 
@@ -254,7 +292,6 @@ pub struct BenchContextBuilder {
     train_cfg: MachineConfig,
     train_input: Option<InputSet>,
     run_input: Option<InputSet>,
-    cache: bool,
     disk_cache: bool,
 }
 
@@ -272,13 +309,9 @@ impl BenchContextBuilder {
         self
     }
 
-    /// Enables/disables the context cache entirely (default on).
-    pub fn cache(mut self, on: bool) -> BenchContextBuilder {
-        self.cache = on;
-        self
-    }
-
-    /// Enables/disables only the on-disk cache layer (default on).
+    /// Enables/disables the on-disk cache layer (default on). Without
+    /// it, a context the process has not built yet is profiled in the
+    /// process.
     pub fn disk_cache(mut self, on: bool) -> BenchContextBuilder {
         self.disk_cache = on;
         self
@@ -290,37 +323,19 @@ impl BenchContextBuilder {
             .train_input
             .unwrap_or_else(|| self.spec.primary_input());
         let run_input = self.run_input.unwrap_or_else(|| self.spec.primary_input());
-        let (workload, trace, freqs, slack, cache_outcome) = if self.cache {
-            let (a, outcome) = cache::context(
-                &self.spec,
-                &self.train_cfg,
-                &train_input,
-                &run_input,
-                self.disk_cache,
-            )?;
-            (
-                a.workload.clone(),
-                a.trace.clone(),
-                a.freqs.clone(),
-                a.slack.clone(),
-                outcome,
-            )
-        } else {
-            let ContextArtifacts {
-                workload,
-                trace,
-                freqs,
-                slack,
-            } = cache::compute_uncached(&self.spec, &self.train_cfg, &train_input, &run_input)?;
-            (workload, trace, freqs, slack, CacheOutcome::Miss)
-        };
+        let (artifacts, cache_outcome) = cache::context(
+            &self.spec,
+            &self.train_cfg,
+            &train_input,
+            &run_input,
+            self.disk_cache,
+        )?;
         Ok(BenchContext {
             spec: self.spec,
-            workload,
-            trace,
-            freqs,
-            slack,
+            artifacts,
             cache_outcome,
+            pools: Mutex::default(),
+            selections: Mutex::default(),
         })
     }
 }
@@ -330,15 +345,42 @@ impl BenchContextBuilder {
 pub struct BenchContext {
     /// The benchmark spec.
     pub spec: BenchmarkSpec,
-    /// Generated workload (on the run input).
-    pub workload: Workload,
-    /// Committed-path trace (identical across configurations).
-    pub trace: Trace,
-    /// Per-static execution frequencies.
-    pub freqs: Vec<u64>,
-    /// Local slack profile (self-trained unless overridden).
-    pub slack: mg_sim::SlackProfile,
+    /// The run-input workload and its committed trace, plus the
+    /// training run's frequency and slack profiles, as the context cache
+    /// serves them.
+    pub artifacts: Arc<ContextArtifacts>,
     cache_outcome: CacheOutcome,
+    /// The candidate pools [`BenchContext::prepare`] has enumerated, one
+    /// per distinct [`SelectionConfig`], kept as long as the context.
+    pools: Mutex<Vec<(SelectionConfig, Arc<Vec<Candidate>>)>>,
+    /// The selections it has made (or the error that felled one), one
+    /// per selection key: a static scheme plus its configuration.
+    selections: Mutex<Vec<((Scheme, SelectionConfig), Selected)>>,
+}
+
+/// A selection, or the error that felled it.
+type Selected = Result<Arc<Selection>, BenchError>;
+
+/// The entry under `key`, computed on a miss. The lock is not held while
+/// computing, so a panicking computation leaves no entry behind and
+/// poisons nothing; of two racing computations, the first stored wins.
+fn memo<K: PartialEq, V: Clone>(
+    entries: &Mutex<Vec<(K, V)>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    let get = |e: &[(K, V)]| e.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+    let lock = || entries.lock().expect("no panic while the store is locked");
+    if let Some(v) = get(&lock()) {
+        return v;
+    }
+    let v = compute();
+    let mut e = lock();
+    if let Some(first) = get(&e) {
+        return first;
+    }
+    e.push((key, v.clone()));
+    v
 }
 
 impl BenchContext {
@@ -350,7 +392,6 @@ impl BenchContext {
             train_cfg: train_cfg.clone(),
             train_input: None,
             run_input: None,
-            cache: true,
             disk_cache: true,
         }
     }
@@ -364,206 +405,152 @@ impl BenchContext {
         Self::builder(spec, train_cfg).build()
     }
 
-    /// How this context's artifacts were served by the cache (a context
-    /// built with caching disabled reports a miss).
+    /// How this context's artifacts were served by the cache.
     pub fn cache_outcome(&self) -> CacheOutcome {
         self.cache_outcome
     }
 
-    fn selector_for(&self, scheme: Scheme) -> Option<Selector> {
-        let sp = |kind| {
-            Selector::SlackProfile(
-                SlackProfileModel {
-                    kind,
-                    ..SlackProfileModel::default()
-                },
-                self.slack.clone(),
-            )
-        };
-        match scheme {
-            Scheme::NoMg => None,
-            Scheme::StructAll
-            | Scheme::SlackDynamic
-            | Scheme::IdealSlackDynamic
-            | Scheme::IdealSlackDynamicDelay
-            | Scheme::IdealSlackDynamicSial => Some(Selector::StructAll),
-            Scheme::StructNone => Some(Selector::StructNone),
-            Scheme::StructBounded => Some(Selector::StructBounded),
-            Scheme::SlackProfile => Some(sp(SpKind::Full)),
-            Scheme::SlackProfileDelay => Some(sp(SpKind::DelayOnly)),
-            Scheme::SlackProfileSial => Some(sp(SpKind::Sial)),
-            Scheme::SlackProfileMem => Some(Selector::SlackProfile(
-                SlackProfileModel::miss_aware(),
-                self.slack.clone(),
-            )),
-        }
-    }
-
-    /// Runs one scheme on one machine configuration.
-    pub fn try_run(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-    ) -> Result<SchemeRun, BenchError> {
-        self.try_run_with(scheme, machine, None, None)
-    }
-
-    /// Runs one scheme on one machine with optional overrides for the
-    /// mini-graph hardware (default [`MgConfig::paper`]) and the
-    /// selection configuration (default [`SelectionConfig::default`]).
-    pub fn try_run_with(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<SchemeRun, BenchError> {
-        let (r, est_coverage) = self.try_sim_with(scheme, machine, mg, sel)?;
-        SchemeRun::try_from_sim(&self.spec.name, scheme, r, est_coverage)
-    }
-
-    /// Like [`BenchContext::try_run_with`], but returns the raw
-    /// [`SimResult`] (plus the selection-time coverage estimate) instead
-    /// of the condensed [`SchemeRun`]. A cycle-capped run is *not* an
-    /// error at this layer — `hit_cycle_cap` is reported in the result —
-    /// so callers like the golden-stats digest can still observe the full
-    /// statistics.
-    pub fn try_sim_with(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<(SimResult, f64), BenchError> {
-        let p = self.prepare_sim(scheme, machine, mg, sel)?;
-        let est = p.est_coverage;
-        Ok((p.simulate(), est))
-    }
-
-    /// Builds everything a timing simulation of one (scheme, machine)
-    /// cell needs — the (possibly rewritten) program, its committed
-    /// trace, the machine, and the simulator options — without running
-    /// it. This is the seam the engine-throughput harness (`perf`) uses
-    /// to time [`simulate`] in isolation, excluding selection and
-    /// functional re-execution.
-    pub fn prepare_sim(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<PreparedSim, BenchError> {
-        match self.selector_for(scheme) {
-            None => Ok(PreparedSim {
-                program: self.workload.program.clone(),
-                trace: self.trace.clone(),
-                machine: machine.clone(),
-                opts: SimOptions::default(),
-                est_coverage: 0.0,
-            }),
-            Some(selector) => {
-                let prepared = try_prepare(
-                    &self.workload.program,
-                    &self.freqs,
-                    &selector,
-                    &sel.copied().unwrap_or_default(),
-                )
-                .map_err(|e| BenchError::Rewrite {
-                    bench: self.spec.name.clone(),
-                    scheme,
-                    detail: e.to_string(),
-                })?;
-                // The tagged program reorders blocks; its committed path
-                // must be re-derived functionally.
-                let (trace, _) = Executor::new(&prepared.program)
-                    .run_with_mem(&self.workload.init_mem)
-                    .map_err(|e| BenchError::Exec {
-                        bench: self.spec.name.clone(),
-                        stage: "rewritten-program execution".to_string(),
-                        detail: e.to_string(),
-                    })?;
-                let mg_machine = machine.clone().with_mg(mg.unwrap_or_else(MgConfig::paper));
-                let opts = SimOptions {
-                    dyn_mg: scheme.dyn_config(),
-                    ..SimOptions::default()
+    /// Builds everything the timing simulation of `cell` needs, without
+    /// running it. The cell's selection ([`Scheme::selection`] under the
+    /// cell's [`SelectionConfig`], default [`SelectionConfig::default`])
+    /// is made once per context and shared with every cell that makes
+    /// it, from one candidate enumeration per configuration. The cell
+    /// then applies its own machine, mini-graph hardware (default
+    /// [`MgConfig::paper`]) and run-time controller
+    /// ([`Scheme::controller`]).
+    pub fn prepare(&self, cell: &SweepCell) -> Result<PreparedSim, BenchError> {
+        let (selection, machine) = match cell.scheme.selection() {
+            None => {
+                let a = &self.artifacts;
+                let unselected = Selection {
+                    program: a.workload.program.clone(),
+                    trace: a.trace.clone(),
+                    est_coverage: 0.0,
                 };
-                Ok(PreparedSim {
-                    program: prepared.program,
-                    trace,
-                    machine: mg_machine,
-                    opts,
-                    est_coverage: prepared.est_coverage,
-                })
+                (Arc::new(unselected), cell.machine.clone())
             }
-        }
+            Some(selection) => {
+                let sel = cell.sel.unwrap_or_default();
+                // A shared failure is reported under the cell's scheme.
+                let selected = self.select(selection, sel).map_err(|mut e| {
+                    if let BenchError::Rewrite { scheme, .. } = &mut e {
+                        *scheme = cell.scheme;
+                    }
+                    e
+                })?;
+                let mg = cell.mg.unwrap_or_else(MgConfig::paper);
+                (selected, cell.machine.clone().with_mg(mg))
+            }
+        };
+        Ok(PreparedSim {
+            bench: self.spec.name.clone(),
+            scheme: cell.scheme,
+            selection,
+            machine,
+            opts: SimOptions {
+                dyn_mg: cell.scheme.controller(),
+                ..SimOptions::default()
+            },
+        })
     }
 
-    /// Runs one scheme on one machine with the pipeline observer
-    /// attached, returning both the condensed row and the full
-    /// observability report (trace, stall attribution, occupancy).
-    ///
-    /// Only available with the `obs` feature; without it the simulator
-    /// carries no instrumentation at all.
-    #[cfg(feature = "obs")]
-    pub fn try_run_obs(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        obs: mg_obs::ObsConfig,
-    ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        self.try_run_with_obs(scheme, machine, None, None, obs)
+    /// The selection of the static scheme `scheme` under `sel`, from the
+    /// store or made now.
+    fn select(&self, scheme: Scheme, sel: SelectionConfig) -> Result<Arc<Selection>, BenchError> {
+        let a = &self.artifacts;
+        let program = &a.workload.program;
+        memo(&self.selections, (scheme, sel), || {
+            let pool = memo(&self.pools, sel, || Arc::new(enumerate(program, &sel)));
+            let selector = scheme.selector(&a.slack).expect("a static scheme");
+            let pool = selector.filter(program, pool.to_vec());
+            let chosen = greedy_select(program, &pool, &a.freqs, &sel);
+            let tagged = try_rewrite(program, &chosen.chosen).map_err(|e| BenchError::Rewrite {
+                bench: self.spec.name.clone(),
+                scheme,
+                detail: e.to_string(),
+            })?;
+            // The tagged program reorders blocks; its committed path
+            // must be re-derived functionally.
+            let (trace, _) = Executor::new(&tagged)
+                .run_with_mem(&a.workload.init_mem)
+                .map_err(|e| cache::exec_err(&self.spec, "rewritten-program execution", e))?;
+            Ok(Arc::new(Selection {
+                program: tagged,
+                trace,
+                est_coverage: chosen.est_coverage,
+            }))
+        })
     }
 
-    /// [`BenchContext::try_run_obs`] with the full per-cell overrides of
-    /// [`BenchContext::try_run_with`] — the sweep runner's instrumented
-    /// cell path.
-    #[cfg(feature = "obs")]
-    pub fn try_run_with_obs(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-        obs: mg_obs::ObsConfig,
-    ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        let mut p = self.prepare_sim(scheme, machine, mg, sel)?;
-        p.opts.obs = Some(obs);
-        let mut r = p.simulate();
-        let report = r
-            .obs
-            .take()
-            .expect("simulate returns a report when an observer is configured");
-        let run = SchemeRun::try_from_sim(&self.spec.name, scheme, r, p.est_coverage)?;
-        Ok((run, report))
+    /// How many candidate pools and selections this context holds: one
+    /// pool per distinct [`SelectionConfig`] and one selection per
+    /// selection key its cells have prepared.
+    pub fn held(&self) -> (usize, usize) {
+        let pools = self.pools.lock().expect("pool store lock").len();
+        let selections = self.selections.lock().expect("selection store lock");
+        (pools, selections.len())
     }
 }
 
-/// A fully prepared timing-simulation input for one (scheme, machine)
-/// cell: run [`PreparedSim::simulate`] any number of times; every run is
-/// identical.
-#[derive(Clone, Debug)]
-pub struct PreparedSim {
-    /// The (possibly rewritten/tagged) program to simulate.
+/// What one selection produced: the rewritten (tagged) program, its
+/// committed trace, and the coverage the selection estimated. For a
+/// no-mg cell, the context's own program and trace.
+#[derive(Debug)]
+pub struct Selection {
+    /// The program to simulate.
     pub program: mg_isa::Program,
     /// Its committed-path trace.
     pub trace: Trace,
-    /// The machine configuration (mini-graph support applied).
-    pub machine: MachineConfig,
-    /// Simulator options (dynamic-disabling config applied).
-    pub opts: SimOptions,
     /// Coverage estimated at selection time.
     pub est_coverage: f64,
 }
 
+/// A fully prepared timing-simulation input for one cell: run
+/// [`PreparedSim::simulate`] any number of times; every run is
+/// identical.
+#[derive(Clone, Debug)]
+pub struct PreparedSim {
+    /// Benchmark name.
+    pub bench: String,
+    /// The cell's scheme.
+    pub scheme: Scheme,
+    /// The program and trace to simulate, shared with every cell of the
+    /// context that makes the same selection.
+    pub selection: Arc<Selection>,
+    /// The machine configuration (mini-graph support applied).
+    pub machine: MachineConfig,
+    /// Simulator options (run-time controller applied).
+    pub opts: SimOptions,
+}
+
 impl PreparedSim {
-    /// Runs the timing simulation.
+    /// Runs the timing simulation. A cycle-capped run is not an error
+    /// here (`hit_cycle_cap` says so), so a caller can still read its
+    /// full statistics.
     pub fn simulate(&self) -> SimResult {
-        simulate(&self.program, &self.trace, &self.machine, self.opts)
+        let s = &self.selection;
+        simulate(&s.program, &s.trace, &self.machine, self.opts)
     }
 
-    /// Dynamic trace length (committed operations fed to the engine).
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
+    /// The cell's row from a run of [`PreparedSim::simulate`]; a run
+    /// that hit its cycle cap is a [`BenchError::CycleCap`].
+    pub fn row(&self, r: &SimResult) -> Result<SchemeRun, BenchError> {
+        if r.hit_cycle_cap {
+            return Err(BenchError::CycleCap {
+                bench: self.bench.clone(),
+                scheme: self.scheme,
+            });
+        }
+        Ok(SchemeRun {
+            scheme: self.scheme,
+            ipc: r.ipc(),
+            cycles: r.stats.cycles,
+            coverage: r.stats.coverage(),
+            est_coverage: self.selection.est_coverage,
+            disabled_templates: r.stats.disabled_templates,
+            serialized_handles: r.stats.serialized_handles,
+            dl1_miss_rate: r.stats.dl1.miss_rate(),
+        })
     }
 }
 
@@ -586,32 +573,6 @@ pub struct SchemeRun {
     pub serialized_handles: u64,
     /// Data-L1 miss rate observed in the run.
     pub dl1_miss_rate: f64,
-}
-
-impl SchemeRun {
-    fn try_from_sim(
-        bench: &str,
-        scheme: Scheme,
-        r: SimResult,
-        est_coverage: f64,
-    ) -> Result<SchemeRun, BenchError> {
-        if r.hit_cycle_cap {
-            return Err(BenchError::CycleCap {
-                bench: bench.to_string(),
-                scheme,
-            });
-        }
-        Ok(SchemeRun {
-            scheme,
-            ipc: r.ipc(),
-            cycles: r.stats.cycles,
-            coverage: r.stats.coverage(),
-            est_coverage,
-            disabled_templates: r.stats.disabled_templates,
-            serialized_handles: r.stats.serialized_handles,
-            dl1_miss_rate: r.stats.dl1.miss_rate(),
-        })
-    }
 }
 
 /// The per-benchmark observability section attached to results produced
@@ -740,6 +701,38 @@ mod tests {
         let back: Envelope<Vec<u32>> = serde_json::from_str(&json).unwrap();
         assert_eq!(back.schema_version, SCHEMA_VERSION);
         assert_eq!(back.rows, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_panic_while_preparing_poisons_nothing() {
+        let store: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
+        let caught = std::panic::catch_unwind(|| memo(&store, 1, || panic!("mid-selection")));
+        assert!(caught.is_err() && !store.is_poisoned());
+        assert_eq!(memo(&store, 1, || 7), 7);
+        assert_eq!(memo(&store, 1, || 8), 7, "the stored entry is served");
+    }
+
+    #[test]
+    fn a_shared_failure_is_reported_under_each_cell_scheme() {
+        use Scheme::{IdealSlackDynamic, SlackDynamic, StructAll};
+        let mut spec = mg_workloads::limit_study_benchmark();
+        spec.params.target_dyn = 2_000;
+        let red = MachineConfig::reduced();
+        let ctx = BenchContext::builder(&spec, &red).disk_cache(false);
+        let ctx = ctx.build().unwrap();
+        let failed = |scheme| BenchError::Rewrite {
+            bench: spec.name.clone(),
+            scheme,
+            detail: "unschedulable".into(),
+        };
+        let key = (StructAll, SelectionConfig::default());
+        let first = (key, Err(failed(StructAll)));
+        ctx.selections.lock().unwrap().push(first);
+        for scheme in [StructAll, SlackDynamic, IdealSlackDynamic] {
+            let err = ctx.prepare(&SweepCell::new(scheme, &red)).unwrap_err();
+            assert_eq!(err, failed(scheme));
+        }
+        assert_eq!(ctx.held(), (0, 1));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The `reproduce` binary regenerates every published result;
 //! [`figures`] holds the sweeps it runs and one view per output. The
-//! shared machinery lives in [`harness`] (benchmark contexts and scheme
-//! runs), [`runner`] (the parallel [`SweepSpec`] executor),
+//! shared machinery lives in [`harness`] (benchmark contexts, whose
+//! [`BenchContext::prepare`] turns a [`SweepCell`] into a simulation
+//! input and makes each selection once per context), [`runner`] (the parallel [`SweepSpec`] executor),
 //! [`supervisor`] (panic isolation, watchdogs, retry, and graceful
 //! shutdown around it), [`config`] (the single typed parse point for
 //! every `MG_*` environment knob), [`journal`] (crash-safe resume for

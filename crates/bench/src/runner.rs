@@ -165,6 +165,11 @@ impl SweepSpec {
         self
     }
 
+    /// The cells added so far, in order.
+    pub fn cell_list(&self) -> &[SweepCell] {
+        &self.cells
+    }
+
     /// Selects the training input (default: each benchmark's primary).
     pub fn train_input(mut self, sel: InputSel) -> SweepSpec {
         self.train_input = sel;

@@ -96,9 +96,9 @@ pub(crate) type ObsArg = Option<mg_obs::ObsConfig>;
 #[cfg(not(feature = "obs"))]
 pub(crate) type ObsArg = ();
 
-/// The raw cell body: fault hooks, then the (optionally instrumented)
-/// scheme run. Everything that can panic or stall lives in here, so the
-/// supervision layers wrap exactly this.
+/// The raw cell body: fault hooks, then the cell's (optionally
+/// observed) run. Everything that can panic or stall lives in here, so
+/// the supervision layers wrap exactly this.
 fn run_cell_once(
     ctx: &BenchContext,
     cell: &SweepCell,
@@ -106,22 +106,21 @@ fn run_cell_once(
     obs: ObsArg,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     crate::fault::before_cell(&ctx.spec.name, cell_idx);
+    let prepared = ctx.prepare(cell)?;
     #[cfg(feature = "obs")]
-    {
-        if let Some(oc) = obs {
-            return ctx
-                .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref(), oc)
-                .map(|(run, report)| (run, Some(Box::new(report))));
-        }
-        ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-            .map(|run| (run, None))
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let () = obs;
-        ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-            .map(|run| (run, ()))
-    }
+    let prepared = crate::harness::PreparedSim {
+        opts: mg_sim::SimOptions {
+            obs,
+            ..prepared.opts
+        },
+        ..prepared
+    };
+    let r = prepared.simulate();
+    let run = prepared.row(&r)?;
+    // Without the feature, `obs` is already the (empty) payload.
+    #[cfg(feature = "obs")]
+    let obs = r.obs.map(Box::new);
+    Ok((run, obs))
 }
 
 /// [`run_cell_once`] with a panic turned into [`BenchError::Panicked`].

@@ -1,13 +1,16 @@
 //! The sweeps `reproduce` runs and the views drawn from them, on real
 //! sweeps over two benchmarks: the paper grid has no duplicate cells and
 //! keeps the baseline first, the Figure 9 and ablation views join their
-//! rows to the paper sweep by benchmark, and a failed cell drops a
-//! benchmark only from the views that read that cell.
+//! rows to the paper sweep by benchmark, a failed cell drops a
+//! benchmark only from the views that read that cell, and one context
+//! makes each of the grid's selections once.
 
 use mg_bench::figures::{self, paper_cell, Machine, PAPER_CELLS};
-use mg_bench::{BenchError, Scheme, SweepResult, SweepSpec};
-use mg_workloads::{suite, Suite};
-use std::sync::OnceLock;
+use mg_bench::{BenchContext, BenchError, Scheme, SweepCell, SweepResult, SweepSpec};
+use mg_core::candidate::SelectionConfig;
+use mg_core::pipeline::try_prepare;
+use mg_workloads::{suite, Executor, Suite};
+use std::sync::{Arc, OnceLock};
 
 /// Every sweep of `reproduce` over the first SPECint and the first
 /// MediaBench program (one benchmark per Figure 9 panel), run once for
@@ -123,4 +126,62 @@ fn a_failed_cell_drops_its_benchmark_only_from_the_views_that_read_it() {
     let default = ablation.rows.iter().find(|r| r.name == "max-size-4");
     assert_eq!(default.unwrap().rel_perf, media_sp);
     assert_eq!(rows(&s), [2, 2, 2, 2, 2, 1, 1, 1]);
+}
+
+/// One context enumerates once per selection configuration and selects
+/// once per selection key, and each cell reads the program, trace and
+/// coverage estimate `mg_core`'s one-shot pipeline makes for it. On the
+/// paper grid, Struct-All's selection serves Slack-Dynamic and the three
+/// Ideal-SD cells, and every selector's serves both machines: 7
+/// selections from 1 pool. The ablation sweep's three hardware-only
+/// cells share one selection too.
+#[test]
+fn one_context_makes_each_selection_once() {
+    use Machine::Reduced;
+    use Scheme::*;
+    let mut spec = suite().into_iter().next().unwrap();
+    spec.params.target_dyn = 10_000;
+    let red = Reduced.config();
+    let context = || BenchContext::builder(&spec, &red).disk_cache(false);
+    let ctx = context().build().unwrap();
+    let paper: Vec<_> = (PAPER_CELLS.iter())
+        .map(|&(s, m)| ctx.prepare(&SweepCell::new(s, &m.config())).unwrap())
+        .collect();
+    assert_eq!(ctx.held(), (1, 7));
+    let selects_as = |s| match s {
+        SlackDynamic | IdealSlackDynamic | IdealSlackDynamicDelay | IdealSlackDynamicSial => {
+            StructAll
+        }
+        s => s,
+    };
+    for (&(s, m), p) in PAPER_CELLS.iter().zip(&paper).filter(|(c, _)| c.0 != NoMg) {
+        let shared = &paper[paper_cell(selects_as(s), Reduced)].selection;
+        assert!(Arc::ptr_eq(&p.selection, shared), "{} on {m:?}", s.name());
+    }
+    let (a, sel) = (&ctx.artifacts, SelectionConfig::default());
+    let (program, init) = (&a.workload.program, &a.workload.init_mem);
+    for (&(scheme, _), p) in PAPER_CELLS.iter().zip(&paper) {
+        let (program, est) = match scheme.selector(&a.slack) {
+            None => (program.clone(), 0.0),
+            Some(s) => {
+                let r = try_prepare(program, &a.freqs, &s, &sel).unwrap();
+                (r.program, r.est_coverage)
+            }
+        };
+        let trace = Executor::new(&program).run_with_mem(init).unwrap().0;
+        let reference = format!("{:?}", (&program, &trace, est));
+        let s = &p.selection;
+        let shared = format!("{:?}", (&s.program, &s.trace, s.est_coverage));
+        assert!(shared == reference, "{}", scheme.name());
+    }
+
+    let ablation = figures::sweeps(std::slice::from_ref(&spec)).pop().unwrap();
+    let ctx = context().build().unwrap();
+    let prepared = ablation.cell_list().iter().map(|c| (c.sel, ctx.prepare(c)));
+    let hardware_only: Vec<_> = (prepared.filter(|(sel, _)| *sel == Some(Default::default())))
+        .map(|(_, p)| p.unwrap().selection)
+        .collect();
+    let [a, b, c] = <[_; 3]>::try_from(hardware_only).unwrap();
+    assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&b, &c));
+    assert_eq!(ctx.held(), (6, 6));
 }

@@ -6,7 +6,7 @@
 //! singletons, embedded handles, and outlined (disabled) instances with
 //! their synthesized jumps.
 
-use mg_bench::{BenchContext, Scheme};
+use mg_bench::{BenchContext, Scheme, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec};
 
@@ -34,9 +34,8 @@ fn engine_stats_satisfy_invariants_across_schemes() {
         Scheme::SlackProfile,
         Scheme::SlackDynamic,
     ] {
-        let (r, _) = ctx
-            .try_sim_with(scheme, &red, None, None)
-            .expect("simulation runs");
+        let p = ctx.prepare(&SweepCell::new(scheme, &red));
+        let r = p.expect("cell prepares").simulate();
         assert!(r.stats.cycles > 0, "{}: ran no cycles", scheme.name());
         assert!(
             r.stats.committed_instrs > 0,
@@ -57,9 +56,8 @@ fn engine_stats_satisfy_invariants_on_a_second_workload() {
         .build()
         .expect("context builds");
     for scheme in [Scheme::StructAll, Scheme::StructBounded] {
-        let (r, _) = ctx
-            .try_sim_with(scheme, &red, None, None)
-            .expect("simulation runs");
+        let p = ctx.prepare(&SweepCell::new(scheme, &red));
+        let r = p.expect("cell prepares").simulate();
         if let Err(e) = r.stats.check_invariants() {
             panic!("{}: {e}", scheme.name());
         }

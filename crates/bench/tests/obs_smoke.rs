@@ -7,11 +7,12 @@
 #![cfg(feature = "obs")]
 
 use mg_bench::binfmt::{self, BinError, RecordKind};
-use mg_bench::harness::ObsSection;
+use mg_bench::harness::{ObsSection, PreparedSim};
 use mg_bench::{
-    machine_fingerprint, BenchContext, Envelope, Scheme, SweepCell, SweepSpec, SCHEMA_VERSION,
+    machine_fingerprint, BenchContext, Envelope, Scheme, SchemeRun, SweepCell, SweepSpec,
+    SCHEMA_VERSION,
 };
-use mg_sim::{MachineConfig, ObsConfig};
+use mg_sim::{MachineConfig, ObsConfig, ObsReport};
 use mg_workloads::{suite, BenchmarkSpec};
 use serde::{Serialize, Value};
 
@@ -24,20 +25,29 @@ fn short_spec(name: &str) -> BenchmarkSpec {
     s
 }
 
-fn ctx(name: &str) -> BenchContext {
+/// Struct-All on the reduced machine, prepared on `name`.
+fn prepared(name: &str) -> PreparedSim {
     let red = MachineConfig::reduced();
     BenchContext::builder(&short_spec(name), &red)
         .disk_cache(false)
         .build()
         .expect("context builds")
+        .prepare(&SweepCell::new(Scheme::StructAll, &red))
+        .expect("cell prepares")
+}
+
+/// [`prepared`] run with the observer attached: the row and the report.
+fn observed(name: &str) -> (SchemeRun, ObsReport) {
+    let mut p = prepared(name);
+    p.opts.obs = Some(ObsConfig::default());
+    let r = p.simulate();
+    let run = p.row(&r).expect("instrumented run succeeds");
+    (run, r.obs.expect("an observed run returns a report"))
 }
 
 #[test]
 fn stall_attribution_conserves_engine_cycles() {
-    let red = MachineConfig::reduced();
-    let (run, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
-        .expect("instrumented run succeeds");
+    let (run, report) = observed("mib_crc32");
     assert_eq!(
         report.cycles, run.cycles,
         "the report covers exactly the run's cycles"
@@ -52,10 +62,7 @@ fn stall_attribution_conserves_engine_cycles() {
 
 #[test]
 fn observer_does_not_perturb_the_simulation() {
-    let red = MachineConfig::reduced();
-    let p = ctx("mib_crc32")
-        .prepare_sim(Scheme::StructAll, &red, None, None)
-        .expect("cell prepares");
+    let p = prepared("mib_crc32");
     let plain = p.simulate();
     let mut instrumented = p.clone();
     instrumented.opts.obs = Some(ObsConfig::default());
@@ -70,10 +77,7 @@ fn observer_does_not_perturb_the_simulation() {
 
 #[test]
 fn pipeview_renders_the_tail_of_the_run() {
-    let red = MachineConfig::reduced();
-    let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
-        .expect("instrumented run succeeds");
+    let (_, report) = observed("mib_crc32");
     let (lo, hi) = report.tail_window(32);
     let view = report.pipeview(lo, hi);
     assert!(view.contains("seq"), "header row present");
@@ -108,10 +112,7 @@ fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
 
 #[test]
 fn trace_dump_round_trips_through_a_typed_decode() {
-    let red = MachineConfig::reduced();
-    let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
-        .expect("instrumented run succeeds");
+    let (_, report) = observed("mib_crc32");
     let section = ObsSection::new("mib_crc32", Scheme::StructAll, report);
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,

@@ -87,7 +87,8 @@ fn cycle_capped_run_surfaces_as_bench_error() {
     let ctx = BenchContext::try_new(&spec, &red).unwrap();
     let mut stuck = red.clone();
     stuck.commit_width = 0;
-    match ctx.try_run(Scheme::NoMg, &stuck) {
+    let p = ctx.prepare(&SweepCell::new(Scheme::NoMg, &stuck)).unwrap();
+    match p.row(&p.simulate()) {
         Err(BenchError::CycleCap { bench, scheme }) => {
             assert_eq!(bench, spec.name);
             assert_eq!(scheme, Scheme::NoMg);
@@ -105,17 +106,17 @@ fn try_new_shorthand_matches_explicit_builder() {
     let _guard = LOCK.lock().unwrap();
     let spec = mg_workloads::limit_study_benchmark();
     let red = MachineConfig::reduced();
-    let short = BenchContext::try_new(&spec, &red)
-        .unwrap()
-        .try_run(Scheme::StructAll, &red)
-        .unwrap();
-    let explicit = BenchContext::builder(&spec, &red)
+    let cell = SweepCell::new(Scheme::StructAll, &red);
+    let run = |ctx: BenchContext| {
+        let p = ctx.prepare(&cell).unwrap();
+        p.row(&p.simulate()).unwrap()
+    };
+    let short = run(BenchContext::try_new(&spec, &red).unwrap());
+    let explicit = run(BenchContext::builder(&spec, &red)
         .train_input(spec.primary_input())
         .run_input(spec.primary_input())
         .build()
-        .unwrap()
-        .try_run(Scheme::StructAll, &red)
-        .unwrap();
+        .unwrap());
     assert_eq!(short.cycles, explicit.cycles);
     assert_eq!(short.ipc, explicit.ipc);
     assert_eq!(short.coverage, explicit.coverage);
